@@ -13,10 +13,12 @@ import gc
 import random
 import shutil
 import traceback
+from contextlib import nullcontext
 from time import perf_counter
 
 from common import Outcome, peak_rss_mb, probe_setup, scratch_dir
-from tracing import Tracer, engine_totals, instrument, layer_metrics
+from tracing import (TRACE_PAIRS, Tracer, engine_totals, instrument,
+                     layer_metrics, overhead_pct)
 
 SCHEDULES = ("1f1b", "chimera", "gpipe", "interleaved", "zb1f1b")
 HARDWARE = ("P100", "V100", "RTX3090")
@@ -220,23 +222,26 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> Outcome:
         out.details = {"units_per_pass": len(spec.units()),
                        "pass_wall_s": [p.wall_s for p in passes]}
     else:
-        # The same cold pass twice: untraced for the overhead baseline,
-        # then traced for the per-layer split.
-        plain = _Pass(spec).run()
-        plain.release()
-        plain.close()
-        tracer = Tracer()
-        passes = [_Pass(spec)]
-        with instrument(tracer):
-            passes[0].run()
-        p = passes[0]
-        out.ops = len(spec.units())
-        out.wall_s = p.wall_s
+        # The same cold pass, untraced and traced in turn, TRACE_PAIRS
+        # times; the per-layer split comes from the last traced pass.
+        passes, walls = [], {False: [], True: []}
+        for traced in (False, True) * TRACE_PAIRS:
+            if passes:
+                passes[-1].release()
+            tracer = Tracer() if traced else None
+            passes.append(_Pass(spec))
+            with instrument(tracer) if traced else nullcontext():
+                passes[-1].run()
+            walls[traced].append(passes[-1].wall_s)
+        p = passes[-1]
+        out.ops = len(spec.units()) * len(passes)
+        out.wall_s = sum(walls[True])
         out.layers = layer_metrics(
             tracer, engine_totals([p.engine.stats()]), setup=out.setup,
-            overhead_pct=100.0 * (p.wall_s / plain.wall_s - 1.0))
-        out.details = {"untraced_wall_s": plain.wall_s,
-                       "traced_wall_s": p.wall_s, "spans": tracer.summary()}
+            overhead_pct=overhead_pct(walls[False], walls[True]))
+        out.details = {"untraced_wall_s": walls[False],
+                       "traced_wall_s": walls[True],
+                       "spans": tracer.summary()}
         out.tracer = tracer
     for p in passes:
         out.failed += p.failed

@@ -1,5 +1,5 @@
-"""Shared plumbing for the layered benchmark: paths, stats, set-up probes,
-the environment fingerprint, and the per-workload outcome record."""
+"""Shared plumbing for the layered benchmark: paths, set-up probes, the
+environment fingerprint, and the per-workload outcome record."""
 
 from __future__ import annotations
 
@@ -36,17 +36,6 @@ def scratch_dir(prefix: str) -> str:
     """A fresh directory under the benchmark's output dir."""
     os.makedirs(OUT_DIR, exist_ok=True)
     return tempfile.mkdtemp(prefix=prefix, dir=OUT_DIR)
-
-
-def percentile(values, q: float) -> float:
-    """Linear-interpolation percentile (numpy's default method)."""
-    xs = sorted(values)
-    if not xs:
-        raise ValueError("percentile of no samples")
-    pos = (len(xs) - 1) * q / 100.0
-    lo = int(pos)
-    hi = min(lo + 1, len(xs) - 1)
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 
 def peak_rss_mb(who: int = resource.RUSAGE_SELF) -> float:

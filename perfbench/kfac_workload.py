@@ -18,12 +18,13 @@ from __future__ import annotations
 import ast
 import os
 import random
+from contextlib import contextmanager, nullcontext
 from time import perf_counter
 
 import numpy as np
 
 from common import ROOT, Outcome, peak_rss_mb, probe_setup
-from tracing import Tracer, layer_metrics
+from tracing import TRACE_PAIRS, Tracer, layer_metrics, overhead_pct
 
 WIDTH = 128
 BLOCKS = 12
@@ -31,8 +32,8 @@ MICRO_BATCHES = 8
 ROWS = 128
 DAMPING = 0.03
 INVERSE_INTERVAL = 2
-#: Cycles per half of a traced run (untraced baseline, then traced).
-TRACE_CYCLES = 4
+#: Cycles per untraced or traced block of a traced run.
+TRACE_CYCLES = 2
 #: Layers whose preconditioned gradients are re-derived in float64.
 CHECK_LAYERS = 6
 #: The tolerance test file that pins batched preconditioning.
@@ -70,7 +71,12 @@ def build(seed: int):
 
 
 def make_inputs(layers, seed: int) -> list:
-    """Per layer: captured input rows, output-grad rows, weight/bias grads."""
+    """Per layer: captured input rows, output-grad rows, weight/bias grads.
+
+    Output-grad rows are scaled by 1e-3 so the output factor ``B`` is near
+    the identity; the gradients stay at unit scale, so the preconditioned
+    gradients are too and ``PRECOND_TOL``'s rtol, not its atol, decides.
+    """
     rng = np.random.default_rng([seed, 1])
     out = []
     for _, lin in layers:
@@ -79,9 +85,8 @@ def make_inputs(layers, seed: int) -> list:
         gs = [rng.standard_normal((ROWS, lin.out_features), dtype=np.float32)
               * np.float32(1e-3) for _ in range(MICRO_BATCHES)]
         gw = rng.standard_normal((lin.out_features, lin.in_features),
-                                 dtype=np.float32) * np.float32(1e-3)
-        gb = rng.standard_normal(lin.out_features, dtype=np.float32) \
-            * np.float32(1e-3)
+                                 dtype=np.float32)
+        gb = rng.standard_normal(lin.out_features, dtype=np.float32)
         out.append((xs, gs, gw, gb))
     return out
 
@@ -152,13 +157,22 @@ def _check(out: Outcome, kfac, layers, inputs, seed: int) -> None:
                   ok_w and ok_b, f"max abs err {max(err_w, err_b):.3e}")
 
 
-def _trace_kfac(kfac, tracer: Tracer) -> None:
-    for attr, span in (("update_curvature", "kfac.curvature"),
-                       ("update_inverses", "kfac.inversion"),
-                       ("precondition", "kfac.precondition")):
-        setattr(kfac, attr, tracer.wrap(span, getattr(kfac, attr)))
-    kfac.inner.step = tracer.wrap("kfac.inner_step", kfac.inner.step)
-    kfac.step = tracer.wrap("kfac.step", kfac.step)
+@contextmanager
+def _traced(kfac, tracer: Tracer):
+    """Wrap the K-FAC phases as instance attributes; removing them on exit
+    restores the class methods."""
+    wrapped = [(kfac, "update_curvature", "kfac.curvature"),
+               (kfac, "update_inverses", "kfac.inversion"),
+               (kfac, "precondition", "kfac.precondition"),
+               (kfac.inner, "step", "kfac.inner_step"),
+               (kfac, "step", "kfac.step")]
+    for owner, attr, span in wrapped:
+        setattr(owner, attr, tracer.wrap(span, getattr(owner, attr)))
+    try:
+        yield
+    finally:
+        for owner, attr, _ in wrapped:
+            delattr(owner, attr)
 
 
 def run(seed: int, seconds: float, trace: bool) -> Outcome:
@@ -170,14 +184,23 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
         times = _cycles(kfac, layers, inputs, None, seconds)
         out.peak_rss_mb = peak_rss_mb()
     else:
-        plain = _cycles(kfac, layers, inputs, TRACE_CYCLES, 0.0)
+        # Untraced and traced blocks of the same cycles, in turn; the
+        # per-step split covers every traced block.
         tracer = Tracer()
-        _trace_kfac(kfac, tracer)
-        times = _cycles(kfac, layers, inputs, TRACE_CYCLES, 0.0)
+        walls: dict = {False: [], True: []}
+        times = []
+        for traced in (False, True) * TRACE_PAIRS:
+            with _traced(kfac, tracer) if traced else nullcontext():
+                block = _cycles(kfac, layers, inputs, TRACE_CYCLES, 0.0)
+            walls[traced].append(sum(block))
+            if traced:
+                times += block
         out.layers = layer_metrics(
             tracer, steps=len(times), setup=out.setup,
-            overhead_pct=100.0 * (sum(times) / sum(plain) - 1.0))
-        out.details["spans"] = tracer.summary()
+            overhead_pct=overhead_pct(walls[False], walls[True]))
+        out.details.update({"untraced_wall_s": walls[False],
+                            "traced_wall_s": walls[True],
+                            "spans": tracer.summary()})
         out.tracer = tracer
     out.ops = len(times)
     out.wall_s = sum(times)

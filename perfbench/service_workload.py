@@ -6,18 +6,21 @@ keep-alive connections busy in a closed loop, because planner callers
 wait for each reply.  The seeded request mix is about 50% cold inline
 ``/sweep`` grids of 4 ``pipefisher`` points, 35% byte-identical repeats
 of earlier grids (sent only once the first answer is back), and 15%
-``/plan`` calls.  The first ``WARM_REQUESTS`` are sent untimed.
+``/plan`` calls.  The first ``WARM_REQUESTS`` are sent untimed, then
+``RSS_REQUESTS`` more, after which the server's peak memory is read, so
+``peak_rss_mb`` covers a fixed amount of work.
 
-A traced run hosts ``ServiceServer`` in this process instead, so the
-service's handlers and engine-pool slot locks can be wrapped.
+A traced run hosts two ``ServiceServer`` instances in this process
+instead, one plain and one whose handlers and engine-pool slot locks
+are wrapped, and sends the same slices of the mix to each in turn.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import random
-import resource
 import socket
 import subprocess
 import sys
@@ -25,9 +28,9 @@ import threading
 from contextlib import nullcontext
 from time import perf_counter
 
-from common import (ROOT, SETUP_REPEATS, Outcome, child_env, peak_rss_mb,
-                    probe_setup)
-from tracing import Tracer, engine_totals, instrument, layer_metrics
+from common import ROOT, SETUP_REPEATS, Outcome, child_env, probe_setup
+from tracing import (TRACE_PAIRS, Tracer, engine_totals, instrument,
+                     layer_metrics, overhead_pct)
 
 SCHEDULES = ("1f1b", "chimera", "gpipe", "interleaved", "zb1f1b")
 ARCHS = ("BERT-Base", "BERT-Large", "T5-Base", "T5-Large", "OPT-125M",
@@ -35,28 +38,40 @@ ARCHS = ("BERT-Base", "BERT-Large", "T5-Base", "T5-Large", "OPT-125M",
 HARDWARE = ("P100", "V100", "RTX3090")
 DEPTHS = (4, 8)
 FACTORS = (1, 2)
-B_MICROS = tuple(range(1, 65))
+B_MICROS = tuple(range(1, 129))
 BUDGETS_GB = (8, 12, 16, 24, 32)
-#: Requests generated per seed; a run sends as many as its seconds allow.
-MIX_LENGTH = 6000
+#: Requests per second the timed window is sized for, ~12x what the
+#: service answers today; a run whose window outlasts the mix fails.
+RATE_CEILING = 500
 #: Untimed requests first, so the server's start-up burst of template
 #: builds is over before timing (a planner serves long after start-up).
 WARM_REQUESTS = 200
-#: Requests per half of a traced run (untraced baseline, then traced).
-TRACE_REQUESTS = 400
+#: Untimed requests after the warm-up; the server's peak memory is read
+#: once they are answered.
+RSS_REQUESTS = 400
+#: Requests per untraced or traced block of a traced run.
+TRACE_BLOCK = 134
 CONNECTIONS = 2
 #: Completed requests re-derived by the reference paths, per kind.
 COLD_CHECKS = 24
 PLAN_CHECKS = 10
 
 
-def request_mix(seed: int) -> list:
-    """``[(kind, path, body bytes, index of the original or None)]``."""
+def mix_length(seconds: float) -> int:
+    """Requests a run may send: the untimed ones plus the timed window at
+    ``RATE_CEILING``, or the traced run's blocks."""
+    timed = max(math.ceil(seconds * RATE_CEILING), TRACE_BLOCK * TRACE_PAIRS)
+    return WARM_REQUESTS + RSS_REQUESTS + timed
+
+
+def request_mix(seed: int, length: int) -> list:
+    """``[(kind, path, body bytes, index of the original or None)]``; a
+    longer mix extends a shorter one of the same seed."""
     rng = random.Random(f"perfbench-service:{seed}")
     used: set = set()
     cold: list = []
     out: list = []
-    for i in range(MIX_LENGTH):
+    for i in range(length):
         r = rng.random()
         if r >= 0.85:
             body = {"arch": rng.choice(ARCHS),
@@ -74,19 +89,22 @@ def request_mix(seed: int) -> list:
 
 def _cold_grid(rng: random.Random, used: set) -> bytes:
     """A 2x2 grid over hardware x b_micro whose 4 points are all new."""
-    while True:
+    for _ in range(1000):
         fixed = {"schedule": rng.choice(SCHEDULES), "arch": rng.choice(ARCHS),
                  "depth": rng.choice(DEPTHS),
                  "n_micro_factor": rng.choice(FACTORS)}
         hws = rng.sample(HARDWARE, 2)
-        bs = rng.sample(B_MICROS, 2)
-        points = {(*fixed.values(), h, b) for h in hws for b in bs}
-        if not points & used:
-            used |= points
-            return json.dumps({
-                "kind": "pipefisher", "fixed": fixed,
-                "grid": {"hardware": hws, "b_micro": bs},
-                "inline": True}).encode()
+        free = [b for b in B_MICROS
+                if all((*fixed.values(), h, b) not in used for h in hws)]
+        if len(free) < 2:
+            continue
+        bs = rng.sample(free, 2)
+        used |= {(*fixed.values(), h, b) for h in hws for b in bs}
+        return json.dumps({
+            "kind": "pipefisher", "fixed": fixed,
+            "grid": {"hardware": hws, "b_micro": bs},
+            "inline": True}).encode()
+    raise RuntimeError("no new 2x2 grids left; the mix is too long")
 
 
 def _connect(host: str, port: int) -> http.client.HTTPConnection:
@@ -202,6 +220,15 @@ def _stop(proc) -> None:
     proc.stdout.close()
 
 
+def _vm_hwm_mb(pid: int) -> float:
+    """A live process's peak resident set size so far (``VmHWM``), in MB."""
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise LookupError(f"no VmHWM for process {pid}")
+
+
 def _setup() -> tuple:
     """Launch the server ``SETUP_REPEATS`` times; keep the last one up."""
     readies = []
@@ -224,11 +251,7 @@ def _check(out: Outcome, loop: ClosedLoop, seed: int) -> None:
 
     engine = SweepEngine()
     rng = random.Random(f"perfbench-service-check:{seed}")
-    ok = {i: r for i, r in loop.responses.items() if r[0] == 200}
-    out.check("service answered every request with 200",
-              len(ok) == len(loop.responses),
-              f"{len(loop.responses) - len(ok)} errors", ops=0)
-    out.failed += len(loop.responses) - len(ok)
+    ok = _answered(out, loop, "service")
     body = {i: json.loads(r[1]) for i, r in ok.items()}
     by_kind: dict = {}
     for i in ok:
@@ -266,6 +289,16 @@ def _check(out: Outcome, loop: ClosedLoop, seed: int) -> None:
                   == canonical_json(got))
 
 
+def _answered(out: Outcome, loop: ClosedLoop, who: str) -> dict:
+    """Count non-200 answers as failed; returns the 200 ones by index."""
+    ok = {i: r for i, r in loop.responses.items() if r[0] == 200}
+    errors = len(loop.responses) - len(ok)
+    out.check(f"{who} answered every request with 200", errors == 0,
+              f"{errors} errors", ops=0)
+    out.failed += errors
+    return ok
+
+
 def _fill(out: Outcome, loop: ClosedLoop, sent, wall_s: float) -> None:
     out.ops = len(sent)
     out.wall_s = wall_s
@@ -300,7 +333,7 @@ def _trace_service(service, server, tracer: Tracer) -> None:
     service.plan = tracer.wrap("service.handler", service.plan)
     for slot in service.pool.slots:
         slot.lock = _TimedLock(slot.lock, tracer)
-    handler = server.httpd.RequestHandlerClass
+    handler = server.httpd.RequestHandlerClass  # this server's own subclass
     do_post = handler.do_POST
 
     def traced_post(self):
@@ -312,63 +345,77 @@ def _trace_service(service, server, tracer: Tracer) -> None:
     handler.do_POST = traced_post
 
 
-def _in_process(mix: list, tracer: Tracer | None) -> tuple:
-    """Warm up, then serve ``TRACE_REQUESTS`` from an in-process server;
-    returns (loop, indices sent, wall, engine counters of that phase)."""
+def _engine_totals(service) -> dict:
+    return engine_totals(s.engine.stats() for s in service.pool.slots)
+
+
+def _traced_run(out: Outcome, mix: list, seed: int) -> None:
+    """Two in-process servers, one plain and one traced, each warmed up;
+    then the same ``TRACE_BLOCK`` requests to each in turn, TRACE_PAIRS
+    times.  The per-layer split covers the traced server's blocks."""
     from repro.service import PlanningService, ServiceServer
 
-    service = PlanningService()
-    server = ServiceServer(service)
-    with server:
-        loop = ClosedLoop(server.host, server.port, mix)
-        loop.run(float("inf"), WARM_REQUESTS)
-        before = engine_totals(s.engine.stats() for s in service.pool.slots)
-        if tracer is not None:
-            _trace_service(service, server, tracer)
-            loop.tracer = tracer
-        with nullcontext() if tracer is None else instrument(tracer):
-            sent, wall = loop.run(float("inf"),
-                                  WARM_REQUESTS + TRACE_REQUESTS)
-        after = engine_totals(s.engine.stats() for s in service.pool.slots)
-    return loop, sent, wall, {k: after[k] - before[k] for k in after}
-
-
-def run(seed: int, seconds: float, trace: bool) -> Outcome:
-    mix = request_mix(seed)
-    if not trace:
-        proc, host, port, ready = _setup()
-        out = Outcome(setup={"setup_s": ready, "server_ready_s": ready})
-        try:
-            loop = ClosedLoop(host, port, mix)
-            loop.run(float("inf"), WARM_REQUESTS)
-            sent, wall = loop.run(seconds, len(mix))
-        finally:
-            _stop(proc)
-        # The server is the only child that did real work; its peak is
-        # the largest of all waited-for children.
-        out.peak_rss_mb = peak_rss_mb(resource.RUSAGE_CHILDREN)
-        _fill(out, loop, sent, wall)
-        _check(out, loop, seed)
-        return out
-
-    proc, _, _, ready = _setup()
-    _stop(proc)
-    out = Outcome(setup={**probe_setup("service"), "server_ready_s": ready})
-    _, _, plain_wall, _ = _in_process(mix, None)
     tracer = Tracer()
-    loop, sent, wall, engine = _in_process(mix, tracer)
-    _fill(out, loop, sent, wall)
+    services = [PlanningService(), PlanningService()]
+    walls: dict = {False: [], True: []}
+    with ServiceServer(services[0]) as plain_server, \
+            ServiceServer(services[1]) as traced_server:
+        plain = ClosedLoop(plain_server.host, plain_server.port, mix)
+        loop = ClosedLoop(traced_server.host, traced_server.port, mix)
+        plain.run(float("inf"), WARM_REQUESTS)
+        loop.run(float("inf"), WARM_REQUESTS)
+        before = _engine_totals(services[1])
+        _trace_service(services[1], traced_server, tracer)
+        loop.tracer = tracer
+        stop = WARM_REQUESTS
+        for _ in range(TRACE_PAIRS):
+            stop += TRACE_BLOCK
+            walls[False].append(plain.run(float("inf"), stop)[1])
+            with instrument(tracer):
+                walls[True].append(loop.run(float("inf"), stop)[1])
+        after = _engine_totals(services[1])
+    sent = range(WARM_REQUESTS, stop)
+    _fill(out, loop, sent, sum(walls[True]))
     answers = [json.loads(loop.responses[i][1]) for i in sent
                if loop.mix[i][0] != "plan" and loop.responses[i][0] == 200]
     out.layers = layer_metrics(
-        tracer, engine, requests=len(sent),
+        tracer, {k: after[k] - before[k] for k in after}, requests=len(sent),
         executed=sum(a["executed"] for a in answers),
         cached=sum(a["cached"] for a in answers),
         setup=out.setup,
-        overhead_pct=100.0 * (wall / plain_wall - 1.0))
-    out.details.update({"untraced_wall_s": plain_wall,
-                        "traced_wall_s": wall,
+        overhead_pct=overhead_pct(walls[False], walls[True]))
+    out.details.update({"untraced_wall_s": walls[False],
+                        "traced_wall_s": walls[True],
                         "spans": tracer.summary()})
     out.tracer = tracer
+    _answered(out, plain, "plain in-process service")
+    _check(out, loop, seed)
+
+
+def run(seed: int, seconds: float, trace: bool) -> Outcome:
+    mix = request_mix(seed, mix_length(seconds))
+    if trace:
+        proc, _, _, ready = _setup()
+        _stop(proc)
+        out = Outcome(setup={**probe_setup("service"),
+                             "server_ready_s": ready})
+        _traced_run(out, mix, seed)
+        return out
+
+    proc, host, port, ready = _setup()
+    out = Outcome(setup={"setup_s": ready, "server_ready_s": ready})
+    try:
+        loop = ClosedLoop(host, port, mix)
+        loop.run(float("inf"), WARM_REQUESTS)
+        loop.run(float("inf"), WARM_REQUESTS + RSS_REQUESTS)
+        out.peak_rss_mb = _vm_hwm_mb(proc.pid)
+        sent, wall = loop.run(seconds, len(mix))
+    finally:
+        _stop(proc)
+    _fill(out, loop, sent, wall)
+    out.check("the request mix outlasted the timed window",
+              sent.stop < len(mix),
+              f"{len(sent)} requests in {wall:.2f} s; raise RATE_CEILING",
+              ops=0)
     _check(out, loop, seed)
     return out

@@ -17,10 +17,15 @@ import functools
 import itertools
 import json
 import os
+import statistics
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from time import perf_counter
+
+#: Untraced/traced pairs a traced run alternates (ABAB...) for
+#: ``trace.overhead_pct``, so host drift hits both sides of each pair.
+TRACE_PAIRS = 3
 
 #: The C-core entry points timed as ``native.*`` spans.
 NATIVE_FUNCS = ("sim_batch", "sim_fault_batch", "fill_batch",
@@ -244,6 +249,13 @@ LAYER_METRICS = {
     "setup.server_ready_s": "s",
     "trace.overhead_pct": "%",
 }
+
+
+def overhead_pct(plain_walls, traced_walls) -> float:
+    """Tracing cost: the median traced/untraced wall ratio over alternating
+    pairs of the same work, as a percentage."""
+    return 100.0 * (statistics.median(
+        t / p for p, t in zip(plain_walls, traced_walls, strict=True)) - 1.0)
 
 
 def _ratio(num, den) -> float:
