@@ -19,8 +19,11 @@ SRC = os.path.join(ROOT, "src")
 #: Run DBs, traces and result files; ignored by git.
 OUT_DIR = os.path.join(HERE, "_out")
 
-#: Fresh interpreters started per run to time set-up; the median is reported.
-SETUP_REPEATS = 3
+#: Fresh interpreters timed per run for ``setup_s``, half before the timed
+#: region and half after it, so one slow spell of the host does not catch
+#: them all; the median is reported.
+SETUP_REPEATS = 4
+SETUP_HALF = SETUP_REPEATS // 2
 
 
 def child_env() -> dict:
@@ -82,15 +85,15 @@ class Outcome:
 # -- set-up probes ----------------------------------------------------------------
 
 
-def probe_setup(workload: str, repeats: int = SETUP_REPEATS) -> dict:
+def probe_setup(workload: str, repeats: int = SETUP_HALF) -> list:
     """Time ``repeats`` fresh interpreters from spawn to ready.
 
     Each probe runs ``probe.py``, which does the workload's start-up and
     prints one JSON line with its parts when it is ready to serve the
     first unit; the wall time from spawn to that line is one ``setup_s``
-    sample.  Returns the medians.
+    sample.  Returns the samples; :func:`setup_medians` reduces them.
     """
-    walls, parts = [], []
+    samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         proc = subprocess.Popen(
@@ -104,14 +107,15 @@ def probe_setup(workload: str, repeats: int = SETUP_REPEATS) -> dict:
             rc = proc.wait(timeout=60)
         if rc != 0 or not line.strip():
             raise RuntimeError(f"set-up probe for {workload} failed (rc={rc})")
-        walls.append(wall)
-        parts.append(json.loads(line))
-    return {
-        "setup_s": statistics.median(walls),
-        "import_s": statistics.median(p["import_s"] for p in parts),
-        "native_load_s": statistics.median(p["native_load_s"] for p in parts),
-        "samples": walls,
-    }
+        samples.append({"setup_s": wall, **json.loads(line)})
+    return samples
+
+
+def setup_medians(samples: list) -> dict:
+    """The median of each set-up part over ``samples``, plus the walls."""
+    return {**{k: statistics.median(s[k] for s in samples)
+               for k in samples[0]},
+            "samples": [s["setup_s"] for s in samples]}
 
 
 # -- environment fingerprint ------------------------------------------------------

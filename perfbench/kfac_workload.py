@@ -23,7 +23,7 @@ from time import perf_counter
 
 import numpy as np
 
-from common import ROOT, Outcome, peak_rss_mb, probe_setup
+from common import ROOT, Outcome, peak_rss_mb, probe_setup, setup_medians
 from tracing import TRACE_PAIRS, Tracer, layer_metrics, overhead_pct
 
 WIDTH = 128
@@ -176,7 +176,8 @@ def _traced(kfac, tracer: Tracer):
 
 
 def run(seed: int, seconds: float, trace: bool) -> Outcome:
-    out = Outcome(setup=probe_setup("kfac"))
+    setup = probe_setup("kfac")
+    out = Outcome()
     layers, kfac = build(seed)
     inputs = make_inputs(layers, seed)
     _cycles(kfac, layers, inputs, 1, 0.0)  # warm-up: workspaces, first faults
@@ -195,9 +196,6 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
             walls[traced].append(sum(block))
             if traced:
                 times += block
-        out.layers = layer_metrics(
-            tracer, steps=len(times), setup=out.setup,
-            overhead_pct=overhead_pct(walls[False], walls[True]))
         out.details.update({"untraced_wall_s": walls[False],
                             "traced_wall_s": walls[True],
                             "spans": tracer.summary()})
@@ -209,4 +207,9 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
     out.details.update({"steps": len(times), "width": WIDTH,
                         "step_s": times})
     _check(out, kfac, layers, inputs, seed)
+    out.setup = setup_medians(setup + probe_setup("kfac"))
+    if trace:
+        out.layers = layer_metrics(
+            tracer, steps=len(times), setup=out.setup,
+            overhead_pct=overhead_pct(walls[False], walls[True]))
     return out

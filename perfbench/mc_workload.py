@@ -1,4 +1,4 @@
-"""The ``grid`` and ``mc`` workloads: cold campaigns through a persistent
+"""The ``mc`` workload: a cold ``stochastic`` campaign through a persistent
 ``CampaignRunner`` (a run DB on disk, as ``repro campaign run`` uses).
 
 Each timed pass builds a fresh ``SweepEngine`` and run dir, so every
@@ -16,38 +16,17 @@ import traceback
 from contextlib import nullcontext
 from time import perf_counter
 
-from common import Outcome, peak_rss_mb, probe_setup, scratch_dir
+from common import Outcome, peak_rss_mb, probe_setup, scratch_dir, \
+    setup_medians
 from tracing import (TRACE_PAIRS, Tracer, engine_totals, instrument,
                      layer_metrics, overhead_pct)
 
 SCHEDULES = ("1f1b", "chimera", "gpipe", "interleaved", "zb1f1b")
-HARDWARE = ("P100", "V100", "RTX3090")
-#: Micro-batch sizes the grid seed draws its six values from.
-B_MICRO_POOL = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64)
-#: Grid units whose values are re-derived by ``PipeFisherRun.execute()``.
-GRID_CHECKS = 6
 #: Seeds per schedule re-derived by the scalar ``monte_carlo`` reference.
 MC_CHECKS = 8
 MC_SEEDS = 256
 MC_MODEL = dict(jitter_sigma=0.02, preemption_rate=0.002,
                 restart_delay_frac=0.05, checkpoint_interval_frac=0.1)
-
-
-def grid_spec(seed: int):
-    """5 schedules x 3 hardware x depth {8,16,32} x n_micro_factor {1,2,4}
-    x 6 seeded b_micro values, on a seeded architecture (810 units)."""
-    from repro.campaign import CampaignSpec
-    from repro.perfmodel.arch import ARCHITECTURES
-
-    rng = random.Random(f"perfbench-grid:{seed}")
-    arch = rng.choice(sorted(ARCHITECTURES))
-    b_micros = tuple(sorted(rng.sample(B_MICRO_POOL, 6)))
-    return CampaignSpec(
-        name="perfbench-grid", title="capacity-planning grid",
-        kind="pipefisher", fixed=(("arch", arch),),
-        grid=(("schedule", SCHEDULES), ("hardware", HARDWARE),
-              ("depth", (8, 16, 32)), ("n_micro_factor", (1, 2, 4)),
-              ("b_micro", b_micros)))
 
 
 def mc_model():
@@ -73,16 +52,14 @@ def mc_spec(seed: int):
 
 
 def _pipefisher_run(params: dict):
-    """The ``PipeFisherRun`` a pipefisher/stochastic unit's params describe."""
+    """The ``PipeFisherRun`` a stochastic unit's params describe."""
     from repro.perfmodel.arch import ARCHITECTURES
     from repro.perfmodel.hardware import HARDWARE as HW
     from repro.pipefisher.runner import PipeFisherRun
 
     p = {k: v for k, v in params.items()
          if k in ("schedule", "arch", "hardware", "b_micro", "depth",
-                  "n_micro", "n_micro_factor")}
-    if "n_micro_factor" in p:
-        p["n_micro"] = p.pop("n_micro_factor") * p["depth"]
+                  "n_micro")}
     return PipeFisherRun(schedule=p.pop("schedule"),
                          arch=ARCHITECTURES[p.pop("arch")],
                          hardware=HW[p.pop("hardware")], **p)
@@ -142,23 +119,6 @@ def _persisted_ok(p: _Pass) -> bool:
     return RunDB.open(p.run_dir).values() == p.result.values()
 
 
-def _check_grid(out: Outcome, p: _Pass, seed: int) -> None:
-    from repro.campaign import canonical_json, get_unit_kind
-
-    serialize = get_unit_kind("pipefisher").serialize
-    units = list(p.spec.units())
-    sample = random.Random(f"perfbench-grid-check:{seed}").sample(
-        units, GRID_CHECKS)
-    for u in sample:
-        params = u.params_dict()
-        ref = serialize(_pipefisher_run(params).execute(), params)
-        got = p.result.records[u.key]["value"]
-        out.check(f"grid unit {u.key} == PipeFisherRun.execute()",
-                  canonical_json(ref) == canonical_json(got))
-    out.check("grid run DB persisted every unit", _persisted_ok(p),
-              ops=len(units))
-
-
 def _check_mc(out: Outcome, p: _Pass, seed: int) -> None:
     from repro.stochastic.mc import monte_carlo
     from repro.sweep.engine import SweepEngine
@@ -188,11 +148,9 @@ def _warm_up(spec) -> None:
     first load land outside the timed passes (``setup_s`` covers them)."""
     from repro.campaign import CampaignSpec
 
-    mini = CampaignSpec(
-        name=spec.name, title=spec.title, kind=spec.kind, fixed=spec.fixed,
-        grid=tuple((axis, values if axis == "schedule" else values[:1])
-                   for axis, values in spec.grid),
-        seeds=spec.seeds[:1])
+    mini = CampaignSpec(name=spec.name, title=spec.title, kind=spec.kind,
+                        fixed=spec.fixed, grid=spec.grid,
+                        seeds=spec.seeds[:1])
     _Pass(mini).run().close()
 
 
@@ -209,48 +167,54 @@ def _measure(spec, seconds: float) -> tuple:
     return passes, sum(p.wall_s for p in passes)
 
 
-def run(workload: str, seed: int, seconds: float, trace: bool) -> Outcome:
-    spec = grid_spec(seed) if workload == "grid" else mc_spec(seed)
-    check = _check_grid if workload == "grid" else _check_mc
-    out = Outcome(setup=probe_setup(workload))
+def _traced_passes(spec) -> tuple:
+    """The same cold pass, untraced and traced in turn, TRACE_PAIRS times;
+    returns (passes, walls by traced, the last pass's tracer)."""
+    passes, walls = [], {False: [], True: []}
+    for traced in (False, True) * TRACE_PAIRS:
+        if passes:
+            passes[-1].release()
+        tracer = Tracer() if traced else None
+        passes.append(_Pass(spec))
+        with instrument(tracer) if traced else nullcontext():
+            passes[-1].run()
+        walls[traced].append(passes[-1].wall_s)
+    return passes, walls, tracer
+
+
+def run(seed: int, seconds: float, trace: bool) -> Outcome:
+    spec = mc_spec(seed)
+    units = len(spec.units())
+    setup = probe_setup("mc")
     _warm_up(spec)
+    out = Outcome()
     if not trace:
         passes, out.wall_s = _measure(spec, seconds)
         out.peak_rss_mb = peak_rss_mb()
         out.latencies_s = [x for p in passes for x in p.latencies]
-        out.ops = len(spec.units()) * len(passes)
-        out.details = {"units_per_pass": len(spec.units()),
+        out.details = {"units_per_pass": units,
                        "pass_wall_s": [p.wall_s for p in passes]}
     else:
-        # The same cold pass, untraced and traced in turn, TRACE_PAIRS
-        # times; the per-layer split comes from the last traced pass.
-        passes, walls = [], {False: [], True: []}
-        for traced in (False, True) * TRACE_PAIRS:
-            if passes:
-                passes[-1].release()
-            tracer = Tracer() if traced else None
-            passes.append(_Pass(spec))
-            with instrument(tracer) if traced else nullcontext():
-                passes[-1].run()
-            walls[traced].append(passes[-1].wall_s)
-        p = passes[-1]
-        out.ops = len(spec.units()) * len(passes)
+        passes, walls, tracer = _traced_passes(spec)
         out.wall_s = sum(walls[True])
-        out.layers = layer_metrics(
-            tracer, engine_totals([p.engine.stats()]), setup=out.setup,
-            overhead_pct=overhead_pct(walls[False], walls[True]))
         out.details = {"untraced_wall_s": walls[False],
                        "traced_wall_s": walls[True],
                        "spans": tracer.summary()}
         out.tracer = tracer
+    out.ops = units * len(passes)
     for p in passes:
         out.failed += p.failed
         if p.error:
-            out.check(f"{workload} campaign pass completed", False, p.error,
-                      ops=0)
+            out.check("mc campaign pass completed", False, p.error, ops=0)
     last = passes[-1]
     if last.result is not None:
-        check(out, last, seed)
+        _check_mc(out, last, seed)
     for p in passes:
         p.close()
+    out.setup = setup_medians(setup + probe_setup("mc"))
+    if trace:
+        # The per-layer split comes from the last traced pass.
+        out.layers = layer_metrics(
+            tracer, engine_totals([last.engine.stats()]), setup=out.setup,
+            overhead_pct=overhead_pct(walls[False], walls[True]))
     return out

@@ -24,7 +24,7 @@ def main(workload: str) -> int:
 
     native.available()
     t2 = time.perf_counter()
-    if workload in ("grid", "mc"):
+    if workload == "mc":
         from repro.campaign import CampaignRunner
         from repro.sweep.engine import SweepEngine
 

@@ -1,6 +1,6 @@
-"""The repository's layered benchmark: one command, four workloads.
+"""The repository's layered benchmark: one command, three workloads.
 
-    python3 perfbench/run.py --workload grid --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload mc --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off;
 ``--trace 1`` runs the same work untraced and then traced, and reports
@@ -23,7 +23,7 @@ import numpy as np
 
 import common
 
-WORKLOADS = ("grid", "mc", "service", "kfac")
+WORKLOADS = ("mc", "service", "kfac")
 
 #: Every end-to-end metric with its unit, in BENCHMARK.json order.
 END_TO_END = {
@@ -36,10 +36,10 @@ END_TO_END = {
 
 
 def _workload_module(name: str):
-    if name in ("grid", "mc"):
-        import campaign_workloads
+    if name == "mc":
+        import mc_workload
 
-        return lambda *a: campaign_workloads.run(name, *a)
+        return mc_workload.run
     if name == "service":
         import service_workload
 

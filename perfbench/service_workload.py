@@ -6,9 +6,9 @@ keep-alive connections busy in a closed loop, because planner callers
 wait for each reply.  The seeded request mix is about 50% cold inline
 ``/sweep`` grids of 4 ``pipefisher`` points, 35% byte-identical repeats
 of earlier grids (sent only once the first answer is back), and 15%
-``/plan`` calls.  The first ``WARM_REQUESTS`` are sent untimed, then
-``RSS_REQUESTS`` more, after which the server's peak memory is read, so
-``peak_rss_mb`` covers a fixed amount of work.
+``/plan`` calls.  The first ``WARM_REQUESTS`` are sent untimed, after
+which the server's peak memory is read, so ``peak_rss_mb`` covers a
+fixed amount of work.
 
 A traced run hosts two ``ServiceServer`` instances in this process
 instead, one plain and one whose handlers and engine-pool slot locks
@@ -22,13 +22,15 @@ import json
 import math
 import random
 import socket
+import statistics
 import subprocess
 import sys
 import threading
 from contextlib import nullcontext
 from time import perf_counter
 
-from common import ROOT, SETUP_REPEATS, Outcome, child_env, probe_setup
+from common import (ROOT, SETUP_HALF, Outcome, child_env, probe_setup,
+                    setup_medians)
 from tracing import (TRACE_PAIRS, Tracer, engine_totals, instrument,
                      layer_metrics, overhead_pct)
 
@@ -38,17 +40,15 @@ ARCHS = ("BERT-Base", "BERT-Large", "T5-Base", "T5-Large", "OPT-125M",
 HARDWARE = ("P100", "V100", "RTX3090")
 DEPTHS = (4, 8)
 FACTORS = (1, 2)
-B_MICROS = tuple(range(1, 129))
+B_MICROS = tuple(range(1, 257))
 BUDGETS_GB = (8, 12, 16, 24, 32)
 #: Requests per second the timed window is sized for, ~12x what the
 #: service answers today; a run whose window outlasts the mix fails.
 RATE_CEILING = 500
 #: Untimed requests first, so the server's start-up burst of template
-#: builds is over before timing (a planner serves long after start-up).
+#: builds is over before timing (a planner serves long after start-up);
+#: the server's peak memory is read once they are answered.
 WARM_REQUESTS = 200
-#: Untimed requests after the warm-up; the server's peak memory is read
-#: once they are answered.
-RSS_REQUESTS = 400
 #: Requests per untraced or traced block of a traced run.
 TRACE_BLOCK = 134
 CONNECTIONS = 2
@@ -58,10 +58,10 @@ PLAN_CHECKS = 10
 
 
 def mix_length(seconds: float) -> int:
-    """Requests a run may send: the untimed ones plus the timed window at
+    """Requests a run may send: the warm-up plus the timed window at
     ``RATE_CEILING``, or the traced run's blocks."""
     timed = max(math.ceil(seconds * RATE_CEILING), TRACE_BLOCK * TRACE_PAIRS)
-    return WARM_REQUESTS + RSS_REQUESTS + timed
+    return WARM_REQUESTS + timed
 
 
 def request_mix(seed: int, length: int) -> list:
@@ -94,12 +94,11 @@ def _cold_grid(rng: random.Random, used: set) -> bytes:
                  "depth": rng.choice(DEPTHS),
                  "n_micro_factor": rng.choice(FACTORS)}
         hws = rng.sample(HARDWARE, 2)
-        free = [b for b in B_MICROS
-                if all((*fixed.values(), h, b) not in used for h in hws)]
-        if len(free) < 2:
+        bs = rng.sample(B_MICROS, 2)
+        points = {(*fixed.values(), h, b) for h in hws for b in bs}
+        if points & used:
             continue
-        bs = rng.sample(free, 2)
-        used |= {(*fixed.values(), h, b) for h in hws for b in bs}
+        used |= points
         return json.dumps({
             "kind": "pipefisher", "fixed": fixed,
             "grid": {"hardware": hws, "b_micro": bs},
@@ -229,16 +228,14 @@ def _vm_hwm_mb(pid: int) -> float:
     raise LookupError(f"no VmHWM for process {pid}")
 
 
-def _setup() -> tuple:
-    """Launch the server ``SETUP_REPEATS`` times; keep the last one up."""
+def _launch_and_stop(times: int) -> list:
+    """Spawn-to-listening seconds of ``times`` servers started in turn."""
     readies = []
-    for _ in range(SETUP_REPEATS - 1):
+    for _ in range(times):
         proc, _, _, ready = _launch_server()
-        readies.append(ready)
         _stop(proc)
-    proc, host, port, ready = _launch_server()
-    readies.append(ready)
-    return proc, host, port, sorted(readies)[len(readies) // 2]
+        readies.append(ready)
+    return readies
 
 
 # -- correctness ------------------------------------------------------------------
@@ -395,23 +392,29 @@ def _traced_run(out: Outcome, mix: list, seed: int) -> None:
 def run(seed: int, seconds: float, trace: bool) -> Outcome:
     mix = request_mix(seed, mix_length(seconds))
     if trace:
-        proc, _, _, ready = _setup()
-        _stop(proc)
-        out = Outcome(setup={**probe_setup("service"),
+        ready = statistics.median(_launch_and_stop(SETUP_HALF))
+        out = Outcome(setup={**setup_medians(probe_setup("service")),
                              "server_ready_s": ready})
         _traced_run(out, mix, seed)
         return out
 
-    proc, host, port, ready = _setup()
-    out = Outcome(setup={"setup_s": ready, "server_ready_s": ready})
+    # Servers started before and after the timed window time set-up; the
+    # last one started before it serves the run.
+    readies = _launch_and_stop(SETUP_HALF - 1)
+    proc, host, port, ready = _launch_server()
+    readies.append(ready)
+    out = Outcome()
     try:
         loop = ClosedLoop(host, port, mix)
         loop.run(float("inf"), WARM_REQUESTS)
-        loop.run(float("inf"), WARM_REQUESTS + RSS_REQUESTS)
         out.peak_rss_mb = _vm_hwm_mb(proc.pid)
         sent, wall = loop.run(seconds, len(mix))
     finally:
         _stop(proc)
+    readies += _launch_and_stop(SETUP_HALF)
+    ready = statistics.median(readies)
+    out.setup = {"setup_s": ready, "server_ready_s": ready,
+                 "samples": readies}
     _fill(out, loop, sent, wall)
     out.check("the request mix outlasted the timed window",
               sent.stop < len(mix),
