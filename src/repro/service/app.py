@@ -63,6 +63,9 @@ DEFAULT_INLINE_LIMIT = 32
 #: Engine slots when neither ``engine`` nor ``engine_pool`` is given.
 DEFAULT_ENGINE_POOL = 4
 
+#: Largest request body the HTTP layer reads; bigger ones get 413.
+MAX_BODY_BYTES = 1 << 20
+
 
 class _EngineSlot:
     """One engine plus the lock serializing all work routed to it."""
@@ -434,11 +437,35 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def _content_length(self) -> int:
+        """The declared body length, checked before any body byte is read.
+
+        A malformed or negative value is a 400 and one over
+        :data:`MAX_BODY_BYTES` a 413.  Either way the body stays unread,
+        so the connection is closed after the reply instead of parsing
+        the leftover bytes as the next keep-alive request.
+        """
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self.close_connection = True
+            raise ServiceError(
+                400, f"Content-Length must be a non-negative integer, "
+                     f"got {raw[:32]!r}")
+        # The digit count bounds int() on absurdly long values.
+        if (len(raw.lstrip("0")) > len(str(MAX_BODY_BYTES))
+                or int(raw) > MAX_BODY_BYTES):
+            self.close_connection = True
+            raise ServiceError(
+                413, f"request body exceeds the {MAX_BODY_BYTES}-byte limit")
+        return int(raw)
+
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError(400, "request body must be JSON")
@@ -455,8 +482,12 @@ class _Handler(BaseHTTPRequestHandler):
         return hmac.compare_digest(header, f"Bearer {token}")
 
     def _reject_unauthorized(self) -> None:
-        # Drain the unread body so HTTP/1.1 keep-alive stays in sync.
-        length = int(self.headers.get("Content-Length") or 0)
+        # Drain a bounded unread body so HTTP/1.1 keep-alive stays in
+        # sync; an invalid or oversized one closes the connection unread.
+        try:
+            length = self._content_length()
+        except ServiceError:
+            length = 0
         if length:
             self.rfile.read(length)
         self.service.metrics.auth_reject()

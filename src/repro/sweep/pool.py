@@ -4,11 +4,12 @@ The parent engine resolves structure (templates, cost models, duration
 tables) and workers do only the numeric half: each receives one pickled
 *stripped* template — timings cache and native handles dropped, so the
 payload is plain lists — plus a slice of duration tables, evaluates
-them (native core when the worker can compile/load it, reference python
-otherwise), and returns plain timing payloads.  The parent rebuilds
-reference-typed evaluations from the payloads; since both paths compute
-python floats through the same operations, pooled results are
-bit-identical to in-process ones.
+them through the engine's own :func:`~repro.sweep.engine.evaluate_tables`
+(C core when the worker can compile/load it, python oracle otherwise),
+and returns plain timing payloads.  The parent rebuilds reference-typed
+evaluations from the payloads; since both paths compute python floats
+through the same operations, pooled results are bit-identical to
+in-process ones.
 
 Used by ``SweepEngine.run_many(jobs=N)`` and, one level up, by
 ``CampaignRunner`` (shard-per-worker) and ``stochastic.monte_carlo``
@@ -59,7 +60,7 @@ def evaluation_payload(ev) -> dict:
         "base_util": ev.base_util,
         "pf_util": ev.pf_util,
         "refresh": ev.refresh,
-        "native": getattr(ev, "_native", False),
+        "native": ev._native,
     }
 
 
@@ -72,7 +73,7 @@ def evaluation_from_payload(payload: dict):
     round-trip) must not silently demote native rows to reference ones.
     """
     from repro.sweep.engine import _Evaluation
-    ev = _Evaluation(
+    return _Evaluation(
         base=_sim_from_payload(payload["base"]),
         pf=_sim_from_payload(payload["pf"]),
         fill=CompiledFill(segments=payload["segments"],
@@ -81,77 +82,20 @@ def evaluation_from_payload(payload: dict):
         base_util=payload["base_util"],
         pf_util=payload["pf_util"],
         refresh=payload["refresh"],
+        _native=bool(payload.get("native", False)),
     )
-    ev._native = bool(payload.get("native", False))
-    return ev
 
 
 def eval_worker(template, dur_keys: list) -> tuple:
     """Evaluate ``dur_keys`` tables of ``template`` in a worker process.
 
     Returns ``(payloads, retime_seconds, fill_seconds)`` with payloads
-    in input order.  Must stay module-level: the pool pickles it by
-    reference.
+    in input order; materializing the payloads counts as fill time.
+    Must stay module-level: the pool pickles it by reference.
     """
-    from repro.sweep import batch as _batch
-    from repro.sweep.engine import SweepEngine, _Evaluation
-    from repro.sweep.retime import fill_compiled, simulate_compiled
+    from repro.sweep.engine import evaluate_tables
 
-    payloads = [None] * len(dur_keys)
-    retime_s = 0.0
-    fill_s = 0.0
-    todo = list(range(len(dur_keys)))
-
-    if _batch.batching_supported(template):
-        t_begin = perf_counter()
-        gb_b = _batch.simulate_graph_batch(
-            template.base_graph, [dur_keys[i][0] for i in todo])
-        gb_p = _batch.simulate_graph_batch(
-            template.pf_graph, [dur_keys[i][1] for i in todo])
-        base_util = (_batch.windowed_utilization_batch(gb_b)
-                     if gb_b is not None else None)
-        retime_s += perf_counter() - t_begin
-        t_begin = perf_counter()
-        fb = (_batch.fill_graph_batch(
-            template, gb_p, [dur_keys[i][2] for i in todo])
-            if gb_p is not None else None)
-        if gb_b is not None and gb_p is not None and fb is not None:
-            remaining = []
-            for row, i in enumerate(todo):
-                if not (gb_b.ok(row) and gb_p.ok(row) and fb.ok(row)):
-                    remaining.append(i)
-                    continue
-                pf = gb_p.sim(row)
-                ev = _Evaluation(
-                    base=gb_b.sim(row), pf=pf,
-                    fill=fb.fill(row, pf.makespan),
-                    base_util=float(base_util[row]),
-                    pf_util=float(fb.pf_util[row]),
-                    refresh=max(int(fb.refresh[row]), 1),
-                )
-                ev._native = True
-                payloads[i] = evaluation_payload(ev)
-            todo = remaining
-        fill_s += perf_counter() - t_begin
-
-    for i in todo:
-        base_durs, pf_durs, qdurs = dur_keys[i]
-        t_begin = perf_counter()
-        base = simulate_compiled(template.base_graph, base_durs)
-        pf = simulate_compiled(template.pf_graph, pf_durs)
-        bu = SweepEngine._windowed_utilization(template.base_graph, base)
-        retime_s += perf_counter() - t_begin
-        t_begin = perf_counter()
-        fill = fill_compiled(template, pf, qdurs)
-        refresh = max(fill.device_steps.values(), default=1)
-        refresh = max(refresh, 1)
-        ev = _Evaluation(
-            base=base, pf=pf, fill=fill, base_util=bu,
-            pf_util=SweepEngine._pf_utilization(template, pf, fill, qdurs,
-                                                refresh),
-            refresh=refresh,
-        )
-        payloads[i] = evaluation_payload(ev)
-        fill_s += perf_counter() - t_begin
-
-    return payloads, retime_s, fill_s
+    evals, retime_s, fill_s = evaluate_tables(template, dur_keys)
+    t_begin = perf_counter()
+    payloads = [evaluation_payload(ev) for ev in evals]
+    return payloads, retime_s, fill_s + perf_counter() - t_begin

@@ -1,6 +1,9 @@
 """Re-timing a compiled schedule template for one sweep point.
 
-Two paths, both bit-identical to the reference per-point pipeline:
+These are the python oracles of the sweep engine, both bit-identical to
+the reference per-point pipeline; the C core (:mod:`repro.sweep.native`)
+is their one fast path, and the engine evaluates a point as cache hit →
+C core → python oracle.
 
 * :func:`simulate_compiled` — the event-driven executor of
   :func:`repro.pipeline.executor.simulate_tasks`, ported onto a
@@ -13,25 +16,11 @@ Two paths, both bit-identical to the reference per-point pipeline:
   path (:mod:`repro.stochastic`), which perturbs durations per device
   and injects restart-from-checkpoint downtime without rebuilding the
   graph.
-* :func:`rescale_timing` — when a new point's durations are exactly a
-  power-of-two multiple of an already-timed point's, the simulated clock
-  can be scaled instead of re-run: multiplying by 2**k only shifts float
-  exponents, so every sum, max, and comparison in a fresh simulation
-  would produce exactly the scaled values.  The one hazard is the
-  executor's absolute tie epsilon (1e-12): a time gap near it could
-  change sides under scaling, so a timing is only rescaled when its
-  observed gap spectrum stays clear of the epsilon band on both sides
-  (:func:`tie_margins`).  Non-power-of-two or margin-violating scalings
-  fall back to re-execution — exactness is never traded for speed.
-
-The bubble filler (:func:`fill_compiled`) always re-runs: its feasibility
-thresholds (``min_chunk``, ``min_bubble``) are absolute seconds, so its
-*decisions* legitimately change under uniform cost scaling even though
-the pipeline timeline merely stretches.  The port keeps the reference
-``BubbleFiller``'s candidate *visit order* (ready/future sets walked in
-exactly the heap-pop order) but holds the sets as sorted lists, which
-turns the reference's pop/stash/re-push churn at every bubble boundary
-into plain iteration.
+* :func:`fill_compiled` — the bubble filler, a port of
+  ``BubbleFiller``.  It keeps the reference's candidate *visit order*
+  (ready/future sets walked in exactly the heap-pop order) but holds the
+  sets as sorted lists, which turns the reference's pop/stash/re-push
+  churn at every bubble boundary into plain iteration.
 """
 
 from __future__ import annotations
@@ -39,7 +28,6 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
-from math import frexp, isfinite
 
 from repro.sweep.template import CompiledGraph, ScheduleTemplate
 
@@ -288,93 +276,6 @@ def simulate_compiled(
     return CompiledSim(start=start, end=end, ev_end=ev_end,
                        ev_order=ev_order, makespan=max(end),
                        restarts=tuple(restarts) if faults is not None else ())
-
-
-# -- exact rescaling ------------------------------------------------------------
-
-
-def exact_pow2_ratio(new: tuple, old: tuple) -> float | None:
-    """The single power-of-two ``alpha`` with ``new == alpha * old``, or None.
-
-    Zeros must pair with zeros; every nonzero pair must give the *same*
-    float ratio; the ratio must be a power of two (so ``alpha * x`` is
-    exact for every finite ``x``); and every product must reproduce the
-    new value bit-for-bit.
-    """
-    alpha: float | None = None
-    for a, b in zip(new, old):
-        if b == 0.0 or a == 0.0:
-            if a != b:
-                return None
-            continue
-        r = a / b
-        if alpha is None:
-            m, _ = frexp(r)
-            if m != 0.5 or not isfinite(r):
-                return None
-            alpha = r
-        elif r != alpha:
-            return None
-    if alpha is None:
-        return 1.0
-    for a, b in zip(new, old):
-        if b != 0.0 and b * alpha != a:
-            return None
-    return alpha
-
-
-def tie_margins(sims: list[CompiledSim]) -> tuple[float, float]:
-    """(max tie-cluster diameter, min inter-cluster gap) of a timing.
-
-    Times within ``_TIME_EPS`` of each other form a tie cluster (the
-    executor treats them as one instant).  A rescale by ``alpha`` keeps
-    every comparison's outcome iff scaled diameters stay <= eps and
-    scaled cluster gaps stay > eps; the caller checks both against the
-    returned margins.
-    """
-    times = sorted({t for sim in sims for t in sim.start}
-                   | {t for sim in sims for t in sim.end}
-                   | {t for sim in sims for t in sim.ev_end})
-    max_diam = 0.0
-    min_gap = float("inf")
-    cluster_start = None
-    for prev, cur in zip(times, times[1:]):
-        gap = cur - prev
-        if gap <= _TIME_EPS:
-            if cluster_start is None:
-                cluster_start = prev
-            max_diam = max(max_diam, cur - cluster_start)
-        else:
-            cluster_start = None
-            min_gap = min(min_gap, gap)
-    return max_diam, min_gap
-
-
-def rescale_safe(alpha: float, max_diam: float, min_gap: float) -> bool:
-    """Would every ``<= t + eps`` comparison survive scaling by ``alpha``?
-
-    Three conjuncts: the reference's tie clusters were genuine ties
-    (diameter within the epsilon *before* scaling — a wider chained
-    cluster was only partially batched, and down-scaling it under the
-    epsilon would batch it fully in a fresh run), they stay ties after
-    scaling, and distinct instants stay distinct after scaling.
-    """
-    return (max_diam <= _TIME_EPS
-            and max_diam * alpha <= _TIME_EPS
-            and min_gap * alpha > _TIME_EPS)
-
-
-def rescale_timing(sim: CompiledSim, alpha: float) -> CompiledSim:
-    """Scale a timing by an exact power of two (validated by the caller)."""
-    if alpha == 1.0:
-        return sim
-    return CompiledSim(
-        start=[t * alpha for t in sim.start],
-        end=[t * alpha for t in sim.end],
-        ev_end=[t * alpha for t in sim.ev_end],
-        ev_order=sim.ev_order,
-        makespan=sim.makespan * alpha,
-    )
 
 
 # -- bubble filling over compiled queues ----------------------------------------

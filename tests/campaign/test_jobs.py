@@ -63,7 +63,7 @@ def test_jobs_records_carry_phase_and_batch_counters(spec, tmp_path):
         eng = rec["engine"]
         for phase in ("template_build", "retime", "fill", "report"):
             assert f"phase_{phase}_s" in eng
-        for counter in ("native_evals", "delta_retimes", "batched_points"):
+        for counter in ("native_evals", "batched_points"):
             assert counter in eng
     delta = result.engine_delta
     assert delta["runs"] == len(spec.units())
@@ -85,6 +85,38 @@ def test_cli_jobs_flag(tmp_path, capsys):
     rec = json.loads((run_dir / "units.jsonl").read_text()
                      .splitlines()[0])
     assert "phase_retime_s" in rec["engine"]
+
+
+def test_run_db_with_removed_engine_counters_resumes(tmp_path, capsys):
+    """Records written before the ``rescales``/``delta_retimes`` engine
+    counters were removed still resume, merge, and show status."""
+    run_dir = tmp_path / "run"
+    assert campaign_main(["run", "zb", "--run-dir", str(run_dir)]) == 0
+    capsys.readouterr()
+    db_file = run_dir / "units.jsonl"
+    old = []
+    for line in db_file.read_text().splitlines()[:9]:
+        rec = json.loads(line)
+        rec["engine"].update(rescales=2, delta_retimes=1)
+        old.append(json.dumps(rec))
+    db_file.write_text("\n".join(old) + "\n")
+
+    assert campaign_main(["run", "zb", "--run-dir", str(run_dir),
+                          "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "executed 9, reused 9/18" in out
+    assert "rescales" not in out and "delta re-times" not in out
+    assert campaign_main(["status", "--run-dir", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "done 18/18" in out
+    assert "engine phase seconds:" in out
+    merged = RunDB.open(run_dir)
+    legacy = [r for r in merged.records.values()
+              if "rescales" in r["engine"]]
+    assert len(legacy) == 9
+    fresh = [r for r in merged.records.values()
+             if "rescales" not in r["engine"]]
+    assert all("delta_retimes" not in r["engine"] for r in fresh)
 
 
 def test_cli_jobs_validation(tmp_path, capsys):

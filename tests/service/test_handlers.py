@@ -6,7 +6,9 @@ through a live :class:`ServiceServer` + :class:`ServiceClient` pair
 in-memory service with its own engine, so tests are hermetic.
 """
 
+import http.client
 import json
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -18,6 +20,7 @@ from repro.service import (
     ServiceHTTPError,
     ServiceServer,
 )
+from repro.service.app import MAX_BODY_BYTES
 from repro.service.jobs import job_id_for, sweep_request
 from repro.sweep import SweepEngine
 
@@ -213,6 +216,91 @@ class TestHTTPRouting:
             live.plan("Nope", "P100")
         assert exc.value.status == 400
         assert "unknown architecture" in exc.value.body["error"]
+
+
+def _connect(url):
+    parts = urllib.parse.urlsplit(url)
+    # The timeout turns a handler stuck reading the body into a failure.
+    return http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+
+
+def _raw_post(conn, path, content_length, body=b"", token=None):
+    """POST with a hand-written ``Content-Length`` header; returns the
+    response status, JSON payload, and ``Connection`` header."""
+    conn.putrequest("POST", path)
+    conn.putheader("Content-Type", "application/json")
+    conn.putheader("Content-Length", content_length)
+    if token is not None:
+        conn.putheader("Authorization", f"Bearer {token}")
+    conn.endheaders(body)
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read()), resp.getheader("Connection")
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0x10", "-5", "-1"])
+    def test_malformed_or_negative_length_is_400(self, live, value):
+        conn = _connect(live.url)
+        try:
+            status, payload, connection = _raw_post(conn, "/plan", value)
+        finally:
+            conn.close()
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert connection == "close"
+
+    @pytest.mark.parametrize("value", [
+        str(MAX_BODY_BYTES + 1), pytest.param("9" * 5000, id="5000-digits")])
+    def test_length_over_the_cap_is_413_unread(self, live, value):
+        conn = _connect(live.url)
+        try:
+            status, payload, connection = _raw_post(conn, "/sweep", value)
+        finally:
+            conn.close()
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert connection == "close"
+
+    def test_length_at_the_cap_is_read(self, live):
+        body = b" " * (MAX_BODY_BYTES - 2) + b"{}"
+        conn = _connect(live.url)
+        try:
+            status, payload, _ = _raw_post(conn, "/plan", str(len(body)),
+                                           body)
+        finally:
+            conn.close()
+        assert status == 400
+        assert "needs 'arch'" in payload["error"]
+
+    def test_unauthorized_huge_length_is_401_without_draining(self):
+        svc = PlanningService(engine=SweepEngine(), token="s3cret")
+        with ServiceServer(svc) as server:
+            for value in ("999999999999", "-5", "abc"):
+                conn = _connect(server.url)
+                try:
+                    status, _, connection = _raw_post(conn, "/sweep", value)
+                finally:
+                    conn.close()
+                assert status == 401
+                assert connection == "close"
+        assert svc.metrics.auth_rejects == 3
+
+    def test_unauthorized_bounded_body_keeps_the_connection(self):
+        svc = PlanningService(engine=SweepEngine(), token="s3cret")
+        body = json.dumps({"arch": "BERT-Large"}).encode()
+        with ServiceServer(svc) as server:
+            conn = _connect(server.url)
+            try:
+                status, _, connection = _raw_post(conn, "/plan",
+                                                  str(len(body)), body)
+                assert status == 401 and connection is None
+                # The drained body left the keep-alive stream in sync.
+                status, payload, _ = _raw_post(conn, "/plan", str(len(body)),
+                                               body, token="s3cret")
+            finally:
+                conn.close()
+        assert status == 400
+        assert "needs 'hardware'" in payload["error"]
 
 
 class TestMetrics:

@@ -1,4 +1,4 @@
-"""SweepEngine behavior: cache accounting, bounds, rescaling, perf models."""
+"""SweepEngine behavior: cache accounting, bounds, scaled points, perf models."""
 
 import pytest
 
@@ -10,7 +10,9 @@ from repro.perfmodel.model import PipelinePerfModel
 from repro.pipefisher import runner as runner_mod
 from repro.pipefisher.runner import PipeFisherRun
 from repro.sweep import SweepEngine, default_engine
-from repro.sweep.retime import exact_pow2_ratio
+from repro.sweep import batch as sweep_batch
+from repro.sweep import native
+from repro.sweep.engine import evaluate_tables
 
 
 def chimera_point(b_micro=32, depth=8, hw="P100", **kw):
@@ -103,39 +105,14 @@ def synthetic_costs(scale=1.0):
 
 
 class TestExactRescale:
-    def test_rescale_refuses_wide_tie_clusters(self):
-        """A reference whose chained tie cluster exceeded the executor's
-        1e-12 epsilon was only *partially* batched; down-scaling it under
-        the epsilon would batch it fully in a fresh run, so such a timing
-        must never be rescaled — in either direction."""
-        from repro.sweep.retime import rescale_safe
-
-        # Healthy reference: tight ties, well-separated instants.
-        assert rescale_safe(0.25, 1e-15, 1e-6)
-        assert rescale_safe(4.0, 1e-15, 1e-6)
-        # Cluster diameter 4e-12 > eps: refuse even though 0.25x would
-        # shrink it to 1e-12.
-        assert not rescale_safe(0.25, 4e-12, 1e-6)
-        # Ties that would break apart under up-scaling: refuse.
-        assert not rescale_safe(4.0, 0.5e-12, 1e-6)
-        # Distinct instants that would collapse into ties: refuse.
-        assert not rescale_safe(0.25, 1e-15, 3e-12)
-
-    def test_pow2_ratio_detection(self):
-        assert exact_pow2_ratio((2.0, 6.0, 0.0), (1.0, 3.0, 0.0)) == 2.0
-        assert exact_pow2_ratio((1.0, 3.0), (1.0, 3.0)) == 1.0
-        assert exact_pow2_ratio((3.0, 3.0), (1.0, 3.0)) is None   # mixed
-        assert exact_pow2_ratio((1.5, 4.5), (1.0, 3.0)) is None   # not 2**k
-        assert exact_pow2_ratio((2.0, 0.0), (1.0, 3.0)) is None   # zero pair
-
     def test_rescaled_point_matches_fresh_reference(self, monkeypatch):
-        """A x2 uniform scaling must take the rescale path and still be
-        bit-identical to a from-scratch per-point run at those costs.
+        """A x2 uniform scaling is re-executed and must be bit-identical
+        to a from-scratch per-point run at those costs.
 
         Uses a single-replica 1f1b point: schedules with a sync-grad
         allreduce (e.g. Chimera's pipeline pair) have a comm-derived
-        duration that a costs-only scaling does not touch, so they are
-        correctly *ineligible* for rescaling.
+        duration that a costs-only scaling does not touch, so their
+        tables would not be uniformly scaled.
         """
         from repro.sweep.cache import BoundedCache
         from tests.sweep.test_engine_equivalence import assert_reports_identical
@@ -154,7 +131,8 @@ class TestExactRescale:
         engine.run(run, costs=base_costs)
         assert engine.reexecutions == 1
         got = engine.run(run, costs=scaled_costs)
-        assert engine.rescales == 1, "uniform x2 point did not rescale"
+        assert engine.reexecutions == 2, "uniform x2 point was not re-executed"
+        assert engine.timing_hits == 0
 
         # Reference: a per-point run with the scaled costs seeded into the
         # runner memo (execute() resolves costs through it).
@@ -181,8 +159,72 @@ class TestExactRescale:
             kernel_density=1.0,
         )
         engine.run(run, costs=other)
-        assert engine.rescales == 0
         assert engine.reexecutions == 2
+
+
+def _assert_evaluations_equal(ref, got):
+    for a, b in ((ref.base, got.base), (ref.pf, got.pf)):
+        assert (a.start, a.end, a.ev_end, a.ev_order, a.makespan) == \
+            (b.start, b.end, b.ev_end, b.ev_order, b.makespan)
+    assert ref.fill.segments == got.fill.segments
+    assert dict(ref.fill.device_steps) == dict(got.fill.device_steps)
+    assert ref.fill.span == got.fill.span
+    assert (ref.base_util, ref.pf_util, ref.refresh) == \
+        (got.base_util, got.pf_util, got.refresh)
+
+
+class TestEvaluateTables:
+    """The one evaluator the engine and its pool workers share."""
+
+    @staticmethod
+    def _template_and_keys():
+        engine = SweepEngine()
+        points = [engine.compiled_point(chimera_point(b_micro=b))
+                  for b in (8, 16, 32)]
+        assert len({id(p.template) for p in points}) == 1
+        return points[0].template, [(p.base_durs, p.pf_durs, p.qdurs)
+                                    for p in points]
+
+    @staticmethod
+    def _oracle(monkeypatch, template, keys):
+        with monkeypatch.context() as m:
+            m.setenv(native.DISABLE_ENV, "1")
+            evals, _, _ = evaluate_tables(template, keys)
+        assert not any(ev._native for ev in evals)
+        return evals
+
+    def test_rows_match_the_python_oracle(self, monkeypatch):
+        template, keys = self._template_and_keys()
+        evals, retime_s, fill_s = evaluate_tables(template, keys)
+        assert retime_s > 0.0 and fill_s > 0.0
+        supported = sweep_batch.batching_supported(template)
+        assert [ev._native for ev in evals] == [supported] * len(keys)
+        for ref, got in zip(self._oracle(monkeypatch, template, keys),
+                            evals):
+            _assert_evaluations_equal(ref, got)
+
+    @pytest.mark.skipif(not native.available(),
+                        reason="needs the C core to fail a row")
+    def test_unfinished_rows_take_the_oracle_or_are_left_out(
+            self, monkeypatch):
+        template, keys = self._template_and_keys()
+        real_fill = sweep_batch.fill_graph_batch
+
+        def overflow_row_1(*args):
+            fb = real_fill(*args)
+            fb.status[1] = native.ST_SEG_OVERFLOW
+            return fb
+
+        monkeypatch.setattr(sweep_batch, "fill_graph_batch", overflow_row_1)
+        evals, _, _ = evaluate_tables(template, keys)
+        assert [ev._native for ev in evals] == [True, False, True]
+        for ref, got in zip(self._oracle(monkeypatch, template, keys),
+                            evals):
+            _assert_evaluations_equal(ref, got)
+
+        primed, _, _ = evaluate_tables(template, keys, oracle=False)
+        assert primed[1] is None
+        assert primed[0]._native and primed[2]._native
 
 
 class TestPerfModelPath:
