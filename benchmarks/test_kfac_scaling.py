@@ -262,12 +262,10 @@ def test_inversion_grouping():
 
 
 def test_precondition_stacking():
-    """Stacked-matmul preconditioning must not regress the seed loop.
+    """``KFAC.precondition`` must not regress the seed loop.
 
-    Both implementations are gemm-bound (the two B^{-1} G A^{-1} products
-    dominate at any width), so this asserts parity, not a speedup: the
-    batched path's gain is the removed per-layer concat/astype copies,
-    which is within noise at these sizes.
+    Both are per-layer loops of the two gemm-bound B^{-1} G A^{-1}
+    products, so this asserts parity, not a speedup.
     """
     rng = np.random.default_rng(2)
     shapes = stack_shapes(width_scale=4)
@@ -310,10 +308,10 @@ def test_precondition_stacking():
                                    atol=1e-6)
 
     ratio = seed_s / new_s
-    print(f"\nprecondition, {len(shapes)} layers: stacked {new_s * 1e3:.1f}ms "
+    print(f"\nprecondition, {len(shapes)} layers: KFAC {new_s * 1e3:.1f}ms "
           f"vs seed loop {seed_s * 1e3:.1f}ms per step ({ratio:.2f}x)")
     assert ratio >= 0.6, (
-        f"stacked preconditioning regressed the seed loop: {ratio:.2f}x"
+        f"KFAC.precondition regressed the seed loop: {ratio:.2f}x"
     )
     _BENCH_RESULTS["precondition_seed_ms"] = round(seed_s * 1e3, 2)
     _BENCH_RESULTS["precondition_batched_ms"] = round(new_s * 1e3, 2)

@@ -15,32 +15,53 @@ triggered by "forward of micro-batch m at stage s" is ready at that
 forward's end *within the step it is placed in*.  The number of steps
 needed to drain the queue is the curvature refresh interval.
 
-The placer is event-indexed: per-device ready heaps ordered exactly like
-the greedy rule's ``(start, -ready, position)`` key, dependency counters
-for ``("items", ...)`` triggers (a completed item decrements its
-dependents instead of every scan re-walking the full dependency tuple),
-and a bubble cursor that only ever moves forward.  Placement work is
-O(items log items + total deps), plus per-placement re-checks of the
-ready items that sort ahead of the winner but cannot split into the
-bubble's remaining room under ``min_chunk`` — a small prefix in practice,
-since similarly-sized items stop fitting at the same time and end the
-bubble.  This replaces rescanning every unassigned item per placed
-segment, while producing placements bit-identical to the original
-scan-all greedy loop (frozen as the baseline in
-``benchmarks/test_filler_scaling.py``).
+One placer, :func:`fill_compiled`, runs every fill in python:
+:class:`BubbleFiller` (the object API) lowers its work queues with
+:func:`compile_queues` and fills them with the items' own durations;
+the sweep engine fills a cached template's queues with per-point
+duration tables.  The C core (:mod:`repro.sweep.native`) is
+its one fast path and is fuzzed against it bit for bit.
+
+The placer is event-indexed: candidates whose readiness the bubble
+cursor has passed are kept sorted by ``(-ready, pos)``, future ones by
+``(ready, pos)`` — the orders of the greedy rule's ``(start, -ready,
+position)`` key — ``("items", ...)`` triggers keep a counter of
+unplaced dependencies, and the cursor only moves forward.  Placement
+work is O(items log items + total deps), plus per-placement re-checks of
+the ready items that sort ahead of the winner but cannot split into the
+bubble's remaining room under ``min_chunk``.  Placements are
+bit-identical to the original scan-all greedy loop (frozen as the
+baseline in ``benchmarks/test_filler_scaling.py``).
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import insort
 from dataclasses import dataclass, field
 
-from repro.pipefisher.workqueue import KFACWorkItem, KFACWorkQueue
-from repro.pipeline.bubbles import bubble_intervals
-from repro.pipeline.executor import SimulationResult
+from repro.pipefisher.workqueue import KFACWorkQueue
+from repro.pipeline.bubbles import device_bubbles
+from repro.pipeline.executor import CompiledGraph, CompiledSim, SimulationResult
 from repro.profiler.timeline import TimelineEvent
 
 _EPS = 1e-9
+
+#: K-FAC work-item duration codes (a re-timed point's per-item values).
+QDUR_CURV_A = 0
+QDUR_CURV_B = 1
+QDUR_INV = 2      #: one factor's inversion (``block.t_inv / 2``)
+QDUR_SYNC_CURV = 3
+
+#: ``(kind, factor)`` pairs ``build_device_queues`` emits.  Other pairs
+#: (SAM's and Shampoo's extra factors) compile with code None: they are
+#: filled with explicit per-item durations only.
+_QKIND_TO_DUR = {
+    ("curvature", "A"): QDUR_CURV_A,
+    ("curvature", "B"): QDUR_CURV_B,
+    ("inversion", "A"): QDUR_INV,
+    ("inversion", "B"): QDUR_INV,
+    ("sync_curv", "-"): QDUR_SYNC_CURV,
+}
 
 
 @dataclass
@@ -86,6 +107,306 @@ class AssignmentResult:
         return sum(q.total_duration for q in self.queues.values())
 
 
+# -- compiled queues ---------------------------------------------------------------
+
+
+@dataclass
+class CompiledItem:
+    """Structural identity of one K-FAC work item (durations come later)."""
+
+    iid: str
+    device: int
+    kind: str
+    factor: str
+    stage: int
+    block: int
+    micro_batch: int | None
+    pipeline: str | None
+    dur_code: int | None
+    trigger: tuple                #: original trigger tuple (for reports)
+    #: For forward/backward triggers: index of the graph task whose end
+    #: is the readiness event.  For "items" triggers: -1.
+    trigger_task: int
+    #: For "items" triggers: positions (within the device queue) of the
+    #: items that must be assigned first.
+    dep_positions: tuple[int, ...]
+
+
+@dataclass
+class DeviceQueue:
+    """One device's K-FAC inventory: item structs + hot-loop arrays."""
+
+    #: Items in inventory order — used when a report materializes its
+    #: assignment.
+    items: list[CompiledItem]
+    #: Parallel arrays the placer reads (no attribute access).
+    codes: list[int | None]       #: duration code per item
+    trig: list[int]               #: graph trigger task idx, -1 if deps
+    dependents: dict[int, list[int]]
+
+
+@dataclass
+class CompiledQueues:
+    """Per-device K-FAC work inventories, structurally compiled."""
+
+    devices: dict[int, DeviceQueue]
+
+
+def compile_queues(queues: dict[int, KFACWorkQueue], graph: CompiledGraph,
+                   dp: int) -> CompiledQueues:
+    """Lower per-device work queues against the graph they will fill.
+
+    A forward/backward trigger resolves to the task of ``graph`` whose
+    event end is the readiness instant, on replica ``item.device % dp``;
+    an ``("items", ...)`` trigger resolves to queue positions.  Raises
+    ``KeyError`` when the graph has no such trigger task and
+    ``ValueError`` on an unknown trigger kind.
+    """
+    devices: dict[int, DeviceQueue] = {}
+    for dev in sorted(queues):
+        items = queues[dev].items
+        pos_of = {item.iid: pos for pos, item in enumerate(items)}
+        dev_items: list[CompiledItem] = []
+        dev_deps: dict[int, list[int]] = {}
+        for pos, item in enumerate(items):
+            kind = item.trigger[0]
+            if kind == "items":
+                dep_positions = tuple(pos_of[d] for d in item.trigger[1])
+                trigger_task = -1
+                for dpos in dep_positions:
+                    dev_deps.setdefault(dpos, []).append(pos)
+            elif kind in ("forward", "backward"):
+                _, s, m, pipe = item.trigger
+                replica = item.device % dp
+                dep_positions = ()
+                trigger_task = graph.trigger_idx.get(
+                    (kind, s, m, pipe, replica))
+                if trigger_task is None:
+                    raise KeyError(
+                        f"no {kind} event for stage {s}, micro-batch {m}, "
+                        f"pipeline {pipe}, replica {replica}"
+                    )
+            else:
+                raise ValueError(f"unknown trigger {item.trigger!r}")
+            dev_items.append(
+                CompiledItem(
+                    iid=item.iid,
+                    device=item.device,
+                    kind=item.kind,
+                    factor=item.factor,
+                    stage=item.stage,
+                    block=item.block,
+                    micro_batch=item.micro_batch,
+                    pipeline=item.pipeline,
+                    dur_code=_QKIND_TO_DUR.get((item.kind, item.factor)),
+                    trigger=item.trigger,
+                    trigger_task=trigger_task,
+                    dep_positions=dep_positions,
+                )
+            )
+        devices[dev] = DeviceQueue(
+            items=dev_items,
+            codes=[it.dur_code for it in dev_items],
+            trig=[it.trigger_task for it in dev_items],
+            dependents=dev_deps,
+        )
+    return CompiledQueues(devices=devices)
+
+
+# -- the placer --------------------------------------------------------------------
+
+
+@dataclass
+class CompiledFill:
+    """Placements for every device of one timing."""
+
+    #: device -> per-item segment lists (inventory order).
+    segments: dict[int, list[list[tuple[float, float]]]]
+    #: device -> steps its queue needed.
+    device_steps: dict[int, int]
+    span: float
+
+
+def fill_compiled(
+    graph: CompiledGraph,
+    queues: CompiledQueues,
+    sim: CompiledSim,
+    qdurs: tuple | None,
+    item_durs: dict | None = None,
+    max_steps: int = 64,
+    min_bubble: float = 1e-5,
+    min_chunk: float = 2e-3,
+    steady_state: bool = True,
+) -> CompiledFill:
+    """Drain every device's compiled queue into the timing's bubbles.
+
+    ``qdurs[code]`` is an item's duration; ``item_durs``, when given,
+    overrides the table with explicit per-item durations (device -> list
+    in inventory order).  ``steady_state`` readiness is the trigger's end
+    one step earlier (see :class:`BubbleFiller`).
+
+    At a cursor ``t`` inside a bubble ending at ``b1``, every already-
+    ready item starts at ``t``, so the greedy key reduces to the "now"
+    list order; if no now-item can start, the best candidate is the
+    earliest feasible "future" item.  A candidate is feasible when it
+    fits whole in positive room, or when a fragment and its leftover are
+    both at least ``min_chunk`` (~one kernel).  Each item's placed total
+    is the left-fold of its segment lengths.
+
+    Raises ``RuntimeError`` when a device with work has no bubbles, makes
+    no progress for a whole step, or still has unassigned items after
+    ``max_steps`` steps.
+    """
+    span = sim.makespan
+    end_of = sim.ev_end
+    shift = span if steady_state else 0.0
+    seg_out: dict[int, list[list[tuple[float, float]]]] = {}
+    steps_out: dict[int, int] = {}
+
+    for dev in sorted(queues.devices):
+        dq = queues.devices[dev]
+        n = len(dq.items)
+        segments: list[list[tuple[float, float]]] = [[] for _ in range(n)]
+        seg_out[dev] = segments
+        if n == 0:
+            steps_out[dev] = 0
+            continue
+        bubbles0 = device_bubbles(graph, sim, dev, span, min_bubble)
+        if not bubbles0:
+            raise RuntimeError(
+                f"device {dev} has no bubbles to fill (span {span:.4f}s)"
+            )
+        dur = (item_durs[dev] if item_durs is not None
+               else [qdurs[c] for c in dq.codes])
+        placed = [0.0] * n
+        dependents = dq.dependents
+        dep_count = [0] * n
+        dep_max_end = [0.0] * n
+        #: Sorted candidate sets: (ready, pos) and (-ready, pos) ascending.
+        future: list[tuple[float, int]] = []
+        now: list[tuple[float, int]] = []
+
+        trig = dq.trig
+        items = dq.items
+        for pos in range(n):
+            ti = trig[pos]
+            if ti >= 0:
+                future.append((end_of[ti] - shift, pos))
+            else:
+                dep_count[pos] = len(items[pos].dep_positions)
+                if dep_count[pos] == 0:
+                    future.append((0.0, pos))
+        future.sort()
+
+        remaining = n
+        last_placed_duration = -1.0
+        steps_used = 0
+        for step in range(max_steps):
+            offset = step * span
+            for bub0, bub1 in bubbles0:
+                b0 = bub0 + offset
+                b1 = bub1 + offset
+                t = b0
+                while True:
+                    if b1 - t <= _EPS:
+                        # Nothing can start here: a full fit needs room >
+                        # eps and a fragment needs room >= min_chunk.
+                        break
+                    if future and future[0][0] <= t:
+                        k = 1
+                        flen = len(future)
+                        while k < flen and future[k][0] <= t:
+                            k += 1
+                        for r, pos in future[:k]:
+                            insort(now, (-r, pos))
+                        del future[:k]
+                    win_at = -1
+                    win_pos = -1
+                    win_ready = 0.0
+                    from_future = False
+                    st = t
+                    room = b1 - t
+                    for j, (negr, pos) in enumerate(now):
+                        rem = dur[pos] - placed[pos]
+                        if room < rem - _EPS:
+                            if room < min_chunk - _EPS or rem - room < min_chunk:
+                                continue
+                        elif room <= _EPS:
+                            continue
+                        win_at, win_pos, win_ready = j, pos, -negr
+                        break
+                    if win_pos < 0:
+                        for j, (r, pos) in enumerate(future):
+                            if r >= b1:
+                                break
+                            rem = dur[pos] - placed[pos]
+                            room = b1 - r
+                            if room < rem - _EPS:
+                                if (room < min_chunk - _EPS
+                                        or rem - room < min_chunk):
+                                    continue
+                            elif room <= _EPS:
+                                continue
+                            win_at, win_pos, win_ready = j, pos, r
+                            st = r
+                            from_future = True
+                            break
+                    if win_pos < 0:
+                        break
+                    rem = dur[win_pos] - placed[win_pos]
+                    room = b1 - st
+                    piece = rem if rem < room else room
+                    e = st + piece
+                    segments[win_pos].append((st, e))
+                    placed[win_pos] = placed[win_pos] + (e - st)
+                    t = e
+                    if dur[win_pos] - placed[win_pos] <= 1e-12:
+                        remaining -= 1
+                        if from_future:
+                            del future[win_at]
+                        else:
+                            del now[win_at]
+                        deps = dependents.get(win_pos)
+                        if deps:
+                            for dpos in deps:
+                                dep_count[dpos] -= 1
+                                if e > dep_max_end[dpos]:
+                                    dep_max_end[dpos] = e
+                                if dep_count[dpos] == 0:
+                                    insort(future, (dep_max_end[dpos], dpos))
+                    elif from_future:
+                        # Partial placement from the future set: the
+                        # cursor has passed its readiness, so it re-enters
+                        # as a "now" candidate.
+                        del future[win_at]
+                        insort(now, (-win_ready, win_pos))
+                if remaining == 0:
+                    break
+            if remaining == 0:
+                steps_used = step + 1
+                break
+            total = 0.0
+            for p in placed:
+                total += p
+            if total <= last_placed_duration + _EPS:
+                # No progress for a full step: items are permanently blocked.
+                stuck = [items[pos].iid for pos in range(n)
+                         if dur[pos] - placed[pos] > 1e-12]
+                raise RuntimeError(
+                    f"device {dev}: no placement progress in step {step}; "
+                    f"stuck items: {stuck[:5]}"
+                )
+            last_placed_duration = total
+        else:
+            raise RuntimeError(
+                f"device {dev}: {remaining} K-FAC items still unassigned "
+                f"after {max_steps} steps; bubbles too small for the work"
+            )
+        steps_out[dev] = steps_used
+
+    return CompiledFill(segments=seg_out, device_steps=steps_out, span=span)
+
+
 class BubbleFiller:
     """Places per-device K-FAC work queues into a step template's bubbles.
 
@@ -103,6 +424,23 @@ class BubbleFiller:
         Safety bound on the refresh interval.
     min_bubble:
         Ignore bubbles shorter than this (kernel-launch granularity).
+    min_chunk:
+        Smallest placeable piece of a split work (~one CUDA kernel).
+    steady_state:
+        In the repeating (static) schedule, every trigger event has
+        already occurred in the previous step, so startup bubbles before
+        a cycle's own forward/backward may compute factors from the
+        previous step's saved tensors — the same staleness the paper
+        embraces ("the first precondition ... is performed with the
+        stale inverse matrices calculated at previous steps").  An item
+        that misses step k's bubbles computes its factor from the saved
+        step-k tensors inside step k+1's bubbles (what M_act and
+        M_err^save in the §3.3 memory model pay for).  Set False to model
+        the very first cycle after initialization.
+
+    A zero-bubble split backward satisfies "backward" triggers at its
+    *input-grad* end: the error signal a B-factor needs is the output
+    gradient, which the input-grad pass produces.
     """
 
     def __init__(
@@ -120,264 +458,37 @@ class BubbleFiller:
         self.dp = dp
         self.max_steps = max_steps
         self.min_bubble = min_bubble
-        #: Smallest placeable piece of a split work (~one CUDA kernel).
         self.min_chunk = min_chunk
-        #: In the repeating (static) schedule, every trigger event has
-        #: already occurred in the previous step, so startup bubbles before
-        #: a cycle's own forward/backward may compute factors from the
-        #: previous step's saved tensors — the same staleness the paper
-        #: embraces ("the first precondition ... is performed with the
-        #: stale inverse matrices calculated at previous steps").  Set
-        #: False to model the very first cycle after initialization.
         self.steady_state = steady_state
         self.span = template.makespan
-        #: Trigger events by canonical kind.  A zero-bubble split backward
-        #: satisfies "backward" triggers at its *input-grad* end: the
-        #: error signal a B-factor needs is the output gradient, which the
-        #: input-grad pass produces (weight-grads consume it, not make it).
-        self._event_end: dict[tuple, float] = {}
-        for e in template.timeline.events:
-            kind = "backward" if e.kind == "backward_input" else e.kind
-            if kind in ("forward", "backward"):
-                key = (
-                    kind,
-                    e.meta["stage"],
-                    e.meta["micro_batch"],
-                    e.meta.get("pipeline"),
-                    e.meta.get("replica", 0),
-                )
-                self._event_end[key] = max(self._event_end.get(key, 0.0), e.end)
-
-    # -- readiness ----------------------------------------------------------------
-
-    def _ready_time(
-        self, item: KFACWorkItem, by_id: dict[str, KFACWorkItem]
-    ) -> float | None:
-        """Absolute readiness time of ``item``.
-
-        A curvature item becomes ready at the end of its trigger event in
-        the *first* step and stays ready afterwards: activations are held
-        for A factors and error signals are saved for B factors (that is
-        what M_act and M_err^save in the §3.3 memory model pay for), so an
-        item that misses step k's bubbles computes its factor from the
-        saved step-k tensors inside step k+1's bubbles.
-
-        Returns None while blocked (inversion whose curvature items have
-        not all been assigned yet).
-        """
-        kind = item.trigger[0]
-        if kind in ("forward", "backward"):
-            _, s, m, pipe = item.trigger
-            replica = item.device % self.dp
-            rel = self._event_end.get((kind, s, m, pipe, replica))
-            if rel is None:
-                raise KeyError(
-                    f"no {kind} event for stage {s}, micro-batch {m}, "
-                    f"pipeline {pipe}, replica {replica}"
-                )
-            return rel - self.span if self.steady_state else rel
-        if kind == "items":
-            ends = []
-            for dep in item.trigger[1]:
-                dep_item = by_id[dep]
-                if not dep_item.assigned:
-                    return None
-                ends.append(dep_item.end)
-            return max(ends) if ends else 0.0
-        raise ValueError(f"unknown trigger {item.trigger!r}")
-
-    # -- feasibility --------------------------------------------------------------
-
-    def _feasible(self, remaining: float, room: float) -> bool:
-        """Can an item with ``remaining`` work start in ``room`` seconds?
-
-        A fragment (``room < remaining``) must leave both the fragment and
-        the leftover at least ``min_chunk`` (~one kernel); a full fit only
-        needs positive room.  Mirrors the original greedy rule exactly.
-        """
-        if room < remaining - _EPS:
-            return not (room < self.min_chunk - _EPS
-                        or remaining - room < self.min_chunk)
-        return room > _EPS
-
-    # -- filling -----------------------------------------------------------------
-
-    def _fill_device(self, device: int) -> int:
-        """Drain one device's queue; returns the number of steps used.
-
-        Readiness is indexed instead of rescanned:
-
-        * ``future_heap`` holds ready items ordered by ``(ready, pos)``;
-          ``now_heap`` holds items whose readiness has passed the cursor,
-          ordered by ``(-ready, pos)``.  The cursor only moves forward, so
-          each item migrates future -> now at most once.
-        * ``("items", ...)`` triggers keep a counter of unassigned deps
-          and a running max end; completing an item decrements its
-          dependents (no tuple re-walks).
-
-        At a cursor ``t`` inside a bubble ending at ``b1``, every already-
-        ready item starts at ``t``, so the greedy key ``(start, -ready,
-        pos)`` reduces to ``now_heap`` order; if no now-item is feasible,
-        the best candidate is the earliest feasible future item, which is
-        ``future_heap`` order.  Items infeasible only for the *current*
-        room (fragment would violate ``min_chunk``) are popped, stashed,
-        and re-pushed; they cannot be parked for the rest of the bubble,
-        because a shrinking room can turn a too-small leftover
-        (``remaining - room < min_chunk``) back into a legal split.
-        """
-        q = self.queues[device]
-        items = q.items
-        if not items:
-            return 0
-        by_id = q.by_id()
-        bubbles0 = bubble_intervals(
-            self.template.timeline,
-            device,
-            (0.0, self.span),
-            min_duration=self.min_bubble,
-        )
-        if not bubbles0:
-            raise RuntimeError(
-                f"device {device} has no bubbles to fill (span {self.span:.4f}s)"
-            )
-
-        pos_of = {item.iid: pos for pos, item in enumerate(items)}
-        ready = [0.0] * len(items)
-        dep_count = [0] * len(items)
-        dep_max_end = [0.0] * len(items)
-        dependents: dict[int, list[int]] = {}
-        future_heap: list[tuple[float, int]] = []  # (ready, pos)
-        now_heap: list[tuple[float, int]] = []  # (-ready, pos)
-
-        for pos, item in enumerate(items):
-            if item.trigger[0] == "items":
-                cnt = 0
-                mx = 0.0
-                for dep in item.trigger[1]:
-                    dpos = pos_of[dep]
-                    if items[dpos].assigned:
-                        end = items[dpos].end
-                        if end is not None and end > mx:
-                            mx = end
-                    else:
-                        cnt += 1
-                        dependents.setdefault(dpos, []).append(pos)
-                dep_count[pos] = cnt
-                dep_max_end[pos] = mx
-                if cnt == 0 and not item.assigned:
-                    ready[pos] = mx if item.trigger[1] else 0.0
-                    heapq.heappush(future_heap, (ready[pos], pos))
-            elif not item.assigned:
-                ready[pos] = self._ready_time(item, by_id)
-                heapq.heappush(future_heap, (ready[pos], pos))
-
-        remaining = len(items)
-        last_placed_duration = -1.0
-        for step in range(self.max_steps):
-            offset = step * self.span
-            for b0, b1 in ((a + offset, b + offset) for a, b in bubbles0):
-                t = b0
-                while True:
-                    if b1 - t <= _EPS:
-                        # Nothing can ever start here: a full fit needs
-                        # room > eps and a fragment needs room >= min_chunk.
-                        # (Common after a fragment fills the bubble to b1.)
-                        break
-                    while future_heap and future_heap[0][0] <= t:
-                        r, pos = heapq.heappop(future_heap)
-                        heapq.heappush(now_heap, (-r, pos))
-                    win_pos = -1
-                    win_ready = 0.0
-                    st = t
-                    room_now = b1 - t
-                    stash = []
-                    while now_heap:
-                        nr, pos = heapq.heappop(now_heap)
-                        item = items[pos]
-                        if item.assigned:
-                            continue
-                        if self._feasible(item.remaining, room_now):
-                            win_pos, win_ready = pos, -nr
-                            break
-                        stash.append((nr, pos))
-                    for entry in stash:
-                        heapq.heappush(now_heap, entry)
-                    if win_pos < 0:
-                        stash.clear()
-                        while future_heap:
-                            r, pos = future_heap[0]
-                            if r >= b1:
-                                break
-                            heapq.heappop(future_heap)
-                            item = items[pos]
-                            if item.assigned:
-                                continue
-                            if self._feasible(item.remaining, b1 - r):
-                                win_pos, win_ready, st = pos, r, r
-                                break
-                            stash.append((r, pos))
-                        for entry in stash:
-                            heapq.heappush(future_heap, entry)
-                    if win_pos < 0:
-                        break
-                    item = items[win_pos]
-                    piece = min(item.remaining, b1 - st)
-                    item.segments.append((st, st + piece))
-                    t = st + piece
-                    if item.assigned:
-                        remaining -= 1
-                        end = item.end
-                        for dpos in dependents.get(win_pos, ()):
-                            dep_count[dpos] -= 1
-                            if end > dep_max_end[dpos]:
-                                dep_max_end[dpos] = end
-                            if dep_count[dpos] == 0:
-                                ready[dpos] = dep_max_end[dpos]
-                                heapq.heappush(
-                                    future_heap, (ready[dpos], dpos))
-                    else:
-                        # Partial placement: the cursor has passed its
-                        # readiness, so it re-enters as a "now" item.
-                        heapq.heappush(now_heap, (-win_ready, win_pos))
-                if remaining == 0:
-                    return step + 1
-            if remaining == 0:
-                return step + 1
-            placed = sum(i.placed_duration for i in q.items)
-            if placed <= last_placed_duration + _EPS:
-                # No progress for a full step: items are permanently blocked.
-                stuck = [i.iid for i in q.items if not i.assigned]
-                raise RuntimeError(
-                    f"device {device}: no placement progress in step {step}; "
-                    f"stuck items: {stuck[:5]}"
-                )
-            last_placed_duration = placed
-        raise RuntimeError(
-            f"device {device}: {remaining} K-FAC items still unassigned after "
-            f"{self.max_steps} steps; bubbles too small for the work"
-        )
 
     def fill(self) -> AssignmentResult:
         """Assign every queue; the refresh interval is the slowest device.
 
-        Raises RuntimeError here — at assignment time, not when the result
-        is later reported — if any item escaped placement.
+        Writes each item's segments and raises RuntimeError here — at
+        assignment time, not when the result is later reported — if any
+        item cannot be placed.
         """
-        per_device: dict[int, int] = {}
-        for device in sorted(self.queues):
-            per_device[device] = self._fill_device(device)
-        unassigned = [
-            i.iid for q in self.queues.values() for i in q.items if not i.assigned
-        ]
-        if unassigned:
-            raise RuntimeError(
-                f"fill left {len(unassigned)} item(s) unassigned: "
-                f"{unassigned[:5]}"
-            )
-        refresh = max(per_device.values(), default=1)
+        graph = self.template.graph
+        placed = fill_compiled(
+            graph,
+            compile_queues(self.queues, graph, self.dp),
+            self.template.sim,
+            None,
+            item_durs={dev: [i.duration for i in q.items]
+                       for dev, q in self.queues.items()},
+            max_steps=self.max_steps,
+            min_bubble=self.min_bubble,
+            min_chunk=self.min_chunk,
+            steady_state=self.steady_state,
+        )
+        for dev, q in self.queues.items():
+            for item, segs in zip(q.items, placed.segments[dev]):
+                item.segments = segs
+        refresh = max(placed.device_steps.values(), default=1)
         return AssignmentResult(
             queues=self.queues,
             refresh_steps=max(refresh, 1),
             span=self.span,
-            device_refresh_steps=per_device,
+            device_refresh_steps=placed.device_steps,
         )

@@ -66,6 +66,11 @@ DEFAULT_ENGINE_POOL = 4
 #: Largest request body the HTTP layer reads; bigger ones get 413.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a connection may stall on a read before the handler gives up:
+#: a body shorter than its Content-Length gets a 408, and an idle
+#: keep-alive connection is closed.
+READ_TIMEOUT_S = 30.0
+
 
 class _EngineSlot:
     """One engine plus the lock serializing all work routed to it."""
@@ -427,6 +432,11 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-planner/1.0"
     protocol_version = "HTTP/1.1"
 
+    @property
+    def timeout(self) -> float:
+        """Socket timeout ``StreamRequestHandler.setup`` applies."""
+        return READ_TIMEOUT_S
+
     # The default handler logs every request to stderr; the service has
     # /metrics for that.
     def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
@@ -466,7 +476,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _body(self) -> dict:
         length = self._content_length()
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            # The stream is mid-body: it cannot carry another request.
+            self.close_connection = True
+            raise ServiceError(
+                408, f"request body incomplete after {READ_TIMEOUT_S}s: "
+                     f"expected {length} bytes") from None
         if not raw:
             raise ServiceError(400, "request body must be JSON")
         try:

@@ -3,7 +3,7 @@
 One replicate = one seed: sample a :class:`~repro.stochastic.perturb.Perturbation`,
 apply it to the compiled point's duration arrays, and re-run both task
 graphs (baseline and PipeFisher) through
-:func:`~repro.sweep.retime.simulate_compiled` with the sampled fault
+:func:`~repro.pipeline.executor.simulate_compiled` with the sampled fault
 trace.  The template is compiled once and the nominal evaluation is
 cached in the engine, so replicates cost two event-loop passes each —
 ``benchmarks/test_mc_scaling.py`` pins the resulting replicates/sec
@@ -25,6 +25,8 @@ try:
 except ImportError:  # pragma: no cover - numpy is a de-facto hard dep
     np = None
 
+from repro.pipeline.bubbles import device_bubbles
+from repro.pipeline.executor import simulate_compiled
 from repro.profiler.utilization import COLOR_DENSITY
 from repro.stochastic.model import StochasticModel
 from repro.stochastic.perturb import (
@@ -33,7 +35,6 @@ from repro.stochastic.perturb import (
     table_durations,
 )
 from repro.stochastic.stats import Summary, summarize
-from repro.sweep.retime import device_bubbles, simulate_compiled
 
 #: Replicate metrics every summary reduces (keys of each replicate dict).
 METRICS = ("span", "pf_span", "bubble_fraction", "utilization",

@@ -2,10 +2,10 @@
 
 :func:`sample_perturbation` turns ``(model, seed, num_devices,
 time_unit)`` into a :class:`Perturbation`: per-device duration factors
-plus a :class:`~repro.sweep.retime.DeviceFaults`-shaped failure trace.
+plus a :class:`~repro.pipeline.executor.DeviceFaults`-shaped failure trace.
 Applying it is a pure transform over a compiled template's duration
 arrays (:func:`perturbed_durations`), so each Monte Carlo replicate is a
-re-timing pass through :func:`~repro.sweep.retime.simulate_compiled` —
+re-timing pass through :func:`~repro.pipeline.executor.simulate_compiled` —
 no graph rebuild per seed.
 
 Determinism contract (pinned by ``tests/stochastic/test_perturb.py``):
@@ -26,8 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.pipeline.executor import DeviceFaults
 from repro.stochastic.model import StochasticModel
-from repro.sweep.retime import DeviceFaults
 
 #: Failure times are sampled out to this many nominal steps; a replicate
 #: whose perturbed span outruns the horizon simply sees no further

@@ -7,12 +7,11 @@ event-driven executor for every point, one fills every point's bubbles,
 one folds every utilization.  Each function degrades per point — a row
 the core cannot handle (deadlock, filler failure, structural feature it
 doesn't model) comes back ``None`` and the caller re-runs that point
-through the pure-python reference path, which also raises the
-reference's exact errors.
+through the python oracle, which also raises the oracle's exact errors.
 
-Everything returned is reference-typed: :class:`~repro.sweep.retime.CompiledSim`
+Everything returned is oracle-typed: :class:`~repro.pipeline.executor.CompiledSim`
 rows hold python floats (``ndarray.tolist`` preserves bits), and
-:class:`NativeFill` quacks like :class:`~repro.sweep.retime.CompiledFill`
+:class:`NativeFill` quacks like :class:`~repro.pipefisher.assignment.CompiledFill`
 with the per-item segment lists materialized lazily — sweeps that only
 read scalar report fields never pay for segment-tuple construction.
 """
@@ -26,8 +25,8 @@ try:
 except ImportError:  # pragma: no cover - numpy is a de-facto hard dep
     np = None
 
+from repro.pipeline.executor import CompiledSim
 from repro.sweep import native
-from repro.sweep.retime import CompiledSim, fill_compiled, simulate_compiled
 
 
 def batching_supported(template) -> bool:
@@ -165,7 +164,7 @@ class FaultBatch(GraphBatch):
 
 
 def pack_faults(faults, num_devices: int):
-    """Pack per-row :class:`~repro.sweep.retime.DeviceFaults` into the
+    """Pack per-row :class:`~repro.pipeline.executor.DeviceFaults` into the
     native CSR layout: ``(ft_off, ft_times, delay, ckpt)``.
 
     ``faults`` is one entry per batch row, ``None`` meaning no faults
@@ -207,11 +206,11 @@ def simulate_graph_batch(graph, durs_list=None, task_durs=None, faults=None
     ``[durs[c] for c in dur_code]``); ``task_durs`` is an explicit
     ``(P, n)`` per-task duration matrix (the Monte Carlo perturbation
     path).  ``faults``, when given, is one
-    :class:`~repro.sweep.retime.DeviceFaults` or ``None`` per row and
+    :class:`~repro.pipeline.executor.DeviceFaults` or ``None`` per row and
     routes the batch through the fault-replay core — the result is then
     a :class:`FaultBatch` carrying restart rows.  Returns None when the
     native core cannot run this graph — callers loop
-    :func:`~repro.sweep.retime.simulate_compiled` instead.
+    :func:`~repro.pipeline.executor.simulate_compiled` instead.
     """
     if np is None or not native.available():
         return None
@@ -254,42 +253,8 @@ def simulate_graph_batch(graph, durs_list=None, task_durs=None, faults=None
                       rest_lost=rest[4], rest_count=rest[5])
 
 
-def simulate_compiled_batch(graph, durs_list=None, task_durs=None
-                            ) -> list[CompiledSim]:
-    """Batch variant of :func:`~repro.sweep.retime.simulate_compiled`.
-
-    Bit-identical to calling the reference per point (the property tests
-    fuzz this); rows the native core rejects — and the whole batch when
-    the core is unavailable — run through the reference itself.
-    """
-    if durs_list is not None:
-        P = len(durs_list)
-    else:
-        P = len(task_durs)
-
-    def reference(i: int) -> CompiledSim:
-        td = None
-        if task_durs is not None:
-            row = task_durs[i]
-            td = row if isinstance(row, list) else list(row)
-        return simulate_compiled(
-            graph, durs_list[i] if durs_list is not None else None,
-            task_durs=td)
-
-    gb = simulate_graph_batch(graph, durs_list, _as_matrix(task_durs))
-    if gb is None:
-        return [reference(i) for i in range(P)]
-    return [gb.sim(i) if gb.ok(i) else reference(i) for i in range(P)]
-
-
-def _as_matrix(task_durs):
-    if task_durs is None or np is None:
-        return task_durs
-    return np.ascontiguousarray(np.asarray(task_durs, np.float64))
-
-
 class NativeFill:
-    """A :class:`~repro.sweep.retime.CompiledFill` built from the native
+    """A :class:`~repro.pipefisher.assignment.CompiledFill` built from the native
     segment stream, with the per-item tuple lists materialized lazily."""
 
     __slots__ = ("device_steps", "span", "_qa", "_seg_item", "_seg_s",
@@ -368,25 +333,6 @@ def fill_graph_batch(template, pf_batch: GraphBatch, qdurs_list
     return FillBatch(qa=qa, device_steps=dev_steps, refresh=refresh,
                      seg_item=seg_item, seg_s=seg_s, seg_e=seg_e,
                      seg_count=seg_count, pf_util=pf_util, status=status)
-
-
-def fill_compiled_batch(template, sims, qdurs_list) -> list:
-    """Batch variant of :func:`~repro.sweep.retime.fill_compiled`.
-
-    ``sims`` may be a :class:`GraphBatch` (zero-copy native path) or a
-    list of :class:`CompiledSim`.  Failing rows re-run the reference,
-    which raises the reference's errors.
-    """
-    if isinstance(sims, GraphBatch):
-        fb = fill_graph_batch(template, sims, qdurs_list)
-        if fb is None:
-            return [fill_compiled(template, sims.sim(i), qdurs_list[i])
-                    for i in range(len(qdurs_list))]
-        return [fb.fill(i, float(sims.makespan[i])) if fb.ok(i)
-                else fill_compiled(template, sims.sim(i), qdurs_list[i])
-                for i in range(len(qdurs_list))]
-    return [fill_compiled(template, sim, qd)
-            for sim, qd in zip(sims, qdurs_list)]
 
 
 def windowed_utilization_batch(graph_batch: GraphBatch):

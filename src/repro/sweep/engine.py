@@ -18,19 +18,20 @@ A point missing from the timing cache is evaluated along one of two
 paths, chosen explicitly per template by
 :func:`~repro.sweep.batch.batching_supported`: the C core
 (:mod:`repro.sweep.native`), or the python oracle
-(:func:`~repro.sweep.retime.simulate_compiled` +
-:func:`~repro.sweep.retime.fill_compiled`) — cache hit → C core →
-python oracle.  Rows the C core cannot finish go through the oracle
-too; :func:`evaluate_tables` is that choice, shared by the engine and
-its process-pool workers.
+(:func:`~repro.pipeline.executor.simulate_compiled` +
+:func:`~repro.pipefisher.assignment.fill_compiled`, the event loop and
+placer behind the object API) — cache hit → C core → python oracle.
+Rows the C core cannot finish go through the oracle too;
+:func:`evaluate_tables` is that choice, shared by the engine and its
+process-pool workers.
 
 ``run()`` produces a :class:`~repro.pipefisher.runner.PipeFisherReport`
 **bit-identical** to ``PipeFisherRun.execute()`` for the same
 configuration (asserted by ``tests/sweep/test_engine_equivalence.py``
-and re-checked against goldens in ``tests/experiments/``): the compiled
-re-timing replays the executor's and bubble filler's float operations in
-the reference order, and utilizations are folded with the reference's
-exact summation order.  Nothing about the engine is approximate.
+and re-checked against goldens in ``tests/experiments/``): both run the
+same event loop and placer, the engine on cached compiled structure,
+and utilizations are folded in the reference's exact summation order.
+Nothing about the engine is approximate.
 """
 
 from __future__ import annotations
@@ -45,22 +46,19 @@ from repro.perfmodel.calibration import host_overhead
 from repro.perfmodel.costs import StageCosts, compute_stage_costs
 from repro.perfmodel.hardware import Hardware
 from repro.perfmodel.model import PipelinePerfModel
-from repro.pipefisher.assignment import AssignmentResult
+from repro.pipefisher.assignment import (
+    QDUR_CURV_A,
+    QDUR_CURV_B,
+    QDUR_INV,
+    QDUR_SYNC_CURV,
+    AssignmentResult,
+    CompiledFill,
+    fill_compiled,
+)
 from repro.pipefisher.runner import PipeFisherReport, PipeFisherRun
 from repro.pipefisher.workqueue import KFACWorkItem, KFACWorkQueue
 from repro.pipeline.comm import CommModel
-from repro.profiler.timeline import Timeline, TimelineEvent
-from repro.profiler.utilization import COLOR_DENSITY
-from repro.sweep import batch as _batch
-from repro.sweep.cache import BoundedCache
-from repro.sweep.retime import (
-    CompiledFill,
-    CompiledSim,
-    fill_compiled,
-    simulate_compiled,
-)
-from repro.pipeline.spec import get_spec
-from repro.sweep.template import (
+from repro.pipeline.executor import (
     DUR_BWD,
     DUR_BWD_INPUT,
     DUR_BWD_WEIGHT,
@@ -70,10 +68,15 @@ from repro.sweep.template import (
     DUR_SYNC_GRAD,
     DUR_ZERO,
     N_DUR_CODES,
-    QDUR_CURV_A,
-    QDUR_CURV_B,
-    QDUR_INV,
-    QDUR_SYNC_CURV,
+    CompiledSim,
+    materialize_timeline,
+    simulate_compiled,
+)
+from repro.pipeline.spec import get_spec
+from repro.profiler.utilization import COLOR_DENSITY
+from repro.sweep import batch as _batch
+from repro.sweep.cache import BoundedCache
+from repro.sweep.template import (
     ScheduleTemplate,
     TemplateKey,
     build_template,
@@ -90,7 +93,7 @@ class CompiledPoint:
     duration tables are this point's timing.  Consumers that re-time the
     same structure many ways — the Monte Carlo replicator perturbs these
     tables per seed — hold a ``CompiledPoint`` and call
-    :func:`~repro.sweep.retime.simulate_compiled` directly, skipping
+    :func:`~repro.pipeline.executor.simulate_compiled` directly, skipping
     every per-point graph rebuild.
     """
 
@@ -268,7 +271,7 @@ class SweepEngine:
         computed, but nothing is simulated.  Re-timing consumers — the
         stochastic Monte Carlo driver, ad-hoc what-if scripts — pair this
         with :meth:`nominal_evaluation` and
-        :func:`~repro.sweep.retime.simulate_compiled`.
+        :func:`~repro.pipeline.executor.simulate_compiled`.
         """
         t_begin = perf_counter()
         try:
@@ -553,8 +556,9 @@ class SweepEngine:
             device_refresh_steps=dict(ev.fill.device_steps),
             assignment_source=partial(_materialize_assignment,
                                       template, qdurs, ev),
-            base_template_source=partial(_materialize, base_graph, base_sim),
-            pf_template_source=partial(_materialize, pf_graph, pf_sim),
+            base_template_source=partial(materialize_timeline, base_graph,
+                                         base_sim),
+            pf_template_source=partial(materialize_timeline, pf_graph, pf_sim),
             window_steps=run.window_steps,
         )
         if run.materialize_window:
@@ -628,7 +632,7 @@ def evaluate_tables(template: ScheduleTemplate, dur_keys: list,
         base_util = _windowed_utilization(template.base_graph, base)
         retime_s += perf_counter() - t_begin
         t_begin = perf_counter()
-        fill = fill_compiled(template, pf, qdurs)
+        fill = fill_compiled(template.pf_graph, template.queues, pf, qdurs)
         refresh = max(max(fill.device_steps.values(), default=1), 1)
         evals[i] = _Evaluation(
             base=base,
@@ -712,23 +716,6 @@ def _materialize_assignment(template: ScheduleTemplate, qdurs: tuple,
         span=ev.pf.makespan,
         device_refresh_steps=dict(ev.fill.device_steps),
     )
-
-
-def _materialize(graph, sim: CompiledSim) -> Timeline:
-    """Build the one-step :class:`Timeline` a re-timed report renders from.
-
-    Event values (device, kind, start, end, label) match the reference
-    simulation's.  ``meta`` dicts are *copied* per event: the reference
-    builds fresh task (and hence meta) objects per run, so a consumer
-    annotating one report's events must never reach another report of
-    the same template — or the template's cached dicts.
-    """
-    tl = Timeline(graph.num_devices)
-    for i in sim.ev_order:
-        tl.add(TimelineEvent(graph.device[i], graph.kind[i], sim.start[i],
-                             sim.ev_end[i], graph.label[i],
-                             dict(graph.meta[i])))
-    return tl
 
 
 #: Process-wide engine the experiment drivers share (one template/cost

@@ -9,7 +9,7 @@ file.  No compiler, a failed compile, or ``REPRO_NO_NATIVE=1`` all
 degrade to ``available() -> False`` and the callers' pure-python paths;
 the native core is an accelerator, never a dependency.
 
-The marshalling half lowers a :class:`~repro.sweep.template.CompiledGraph`
+The marshalling half lowers a :class:`~repro.pipeline.executor.CompiledGraph`
 (and a template's K-FAC queue inventory) to the flat int32/int64/float64
 arrays the C side reads, cached on the graph/template objects so a
 sweep pays the conversion once per structure.  Graphs the core cannot

@@ -21,7 +21,8 @@ from __future__ import annotations
 import dataclasses
 from time import perf_counter
 
-from repro.sweep.retime import CompiledFill, CompiledSim
+from repro.pipefisher.assignment import CompiledFill
+from repro.pipeline.executor import CompiledSim
 
 
 def picklable_template(template):

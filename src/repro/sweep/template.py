@@ -5,67 +5,27 @@ A sweep over (architecture, hardware, micro-batch size) re-uses the same
 layers_per_stage, ...)`` — at every point; only the work durations change.
 :class:`ScheduleTemplate` canonicalizes that structure into a
 :class:`TemplateKey`, builds the baseline and PipeFisher task graphs and
-the K-FAC work-queue inventory exactly once, and compiles them into
-integer-indexed arrays (dependency adjacency, priority/tid ranks,
-in-flight key ids, duration codes).  Re-timing a point is then a small
-duration table plus :func:`simulate_compiled` / ``fill_compiled`` in
-:mod:`repro.sweep.retime` — no string formatting, no dict building, no
-dataclass graph construction.
-
-Compiled runs are **bit-identical** to :func:`repro.pipeline.executor.simulate_tasks`
-and :class:`repro.pipefisher.assignment.BubbleFiller` on the same
-configuration: every float operation (additions along dependency chains,
-tie-epsilon comparisons, min/max clips) is replicated in the same order,
-and every tie-break (priority tuples, then task-id order, here as
-precomputed ranks) is preserved.  ``tests/sweep/test_engine_equivalence.py``
-asserts this across every schedule family.
+the K-FAC work-queue inventory exactly once, and lowers them with the
+object API's own compilers (:func:`~repro.pipeline.executor.compile_graph`
+and :func:`~repro.pipefisher.assignment.compile_queues`).  Re-timing a
+point is then a small duration table through the same event loop and
+placer the object API runs
+(:func:`~repro.pipeline.executor.simulate_compiled`,
+:func:`~repro.pipefisher.assignment.fill_compiled`) or their C core —
+no string formatting, no dict building, no dataclass graph construction.
+``tests/sweep/test_engine_equivalence.py`` asserts that the engine's
+reports equal ``PipeFisherRun.execute`` across every schedule family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.pipefisher.assignment import CompiledQueues, compile_queues
 from repro.pipefisher.workqueue import build_device_queues
-from repro.pipeline.bubbles import OCCUPYING_KINDS
+from repro.pipeline.executor import CompiledGraph, compile_graph
 from repro.pipeline.schedules import PipelineConfig, make_schedule
 from repro.pipeline.spec import get_spec
-from repro.pipeline.work import Task, WorkKind
-
-#: Duration codes: every task's duration is one of these per-point values.
-DUR_FWD = 0       #: forward of one stage
-DUR_BWD = 1       #: backward (+ recompute forward when enabled)
-DUR_SYNC_GRAD = 2
-DUR_PRECOND = 3
-DUR_OVERHEAD = 4
-DUR_ZERO = 5      #: barriers / control tasks
-DUR_BWD_INPUT = 6   #: zero-bubble input-grad (+ recompute forward)
-DUR_BWD_WEIGHT = 7  #: zero-bubble weight-grad (bubble filler material)
-N_DUR_CODES = 8
-
-#: K-FAC work-item duration codes.
-QDUR_CURV_A = 0
-QDUR_CURV_B = 1
-QDUR_INV = 2      #: one factor's inversion (``block.t_inv / 2``)
-QDUR_SYNC_CURV = 3
-
-_KIND_TO_DUR = {
-    WorkKind.FORWARD: DUR_FWD,
-    WorkKind.BACKWARD: DUR_BWD,
-    WorkKind.BACKWARD_INPUT: DUR_BWD_INPUT,
-    WorkKind.BACKWARD_WEIGHT: DUR_BWD_WEIGHT,
-    WorkKind.SYNC_GRAD: DUR_SYNC_GRAD,
-    WorkKind.PRECONDITION: DUR_PRECOND,
-    WorkKind.OVERHEAD: DUR_OVERHEAD,
-    WorkKind.BARRIER: DUR_ZERO,
-}
-
-_QKIND_TO_DUR = {
-    ("curvature", "A"): QDUR_CURV_A,
-    ("curvature", "B"): QDUR_CURV_B,
-    ("inversion", "A"): QDUR_INV,
-    ("inversion", "B"): QDUR_INV,
-    ("sync_curv", "-"): QDUR_SYNC_CURV,
-}
 
 
 @dataclass(frozen=True)
@@ -108,189 +68,6 @@ def stages_per_device(schedule: str, virtual_chunks: int) -> int:
 
 
 @dataclass
-class CompiledGraph:
-    """One task graph lowered to integer-indexed arrays.
-
-    ``meta``/``label`` keep references to the template build's dicts and
-    strings; the engine copies each ``meta`` when it materializes report
-    timelines, so consumers can annotate events without corrupting the
-    cached template or sibling reports.
-
-    ``order_key`` collapses the executor's ``(priority, tid)`` ready-heap
-    ordering into one comparable per task: the lexicographic priority
-    tuple packed with the tid's sort rank when priorities are uniform
-    non-negative int pairs (the builders' shape), else a
-    ``(priority, rank)`` tuple.  Either way, comparing two tasks'
-    ``order_key`` gives exactly the reference's tie-break order.
-    """
-
-    num_devices: int
-    n: int
-    device: list[int | None]
-    kind: list[str]
-    label: list[str]
-    meta: list[dict]
-    order_key: list               #: packed (priority, tid-rank) heap key
-    dur_code: list[int]
-    ndeps: list[int]
-    dependents: list[list[int]]
-    inflight_key: list[int]       #: admission key id, -1 if none
-    inflight_limit: list[int]
-    release_key: list[int]        #: released key id, -1 if none
-    n_inflight_keys: int
-    zero_dep: list[int]           #: tasks with no deps, in build order
-    #: Occupying (bubble-relevant) task indices per device, build order.
-    occupying_by_device: list[list[int]]
-    #: (kind, stage, micro_batch, pipeline, replica) -> task index, for
-    #: resolving K-FAC forward/backward triggers without timeline scans.
-    trigger_idx: dict[tuple, int]
-
-
-def _pack_order_keys(tasks: list[Task], rank: list[int]) -> list:
-    """One comparable per task, ordered exactly like ``(priority, tid)``.
-
-    The empty priority ``()`` (the builders' "run first" marker, e.g. the
-    optimizer-step control task) sorts before every non-empty tuple, so
-    it packs to the bare rank and every int-pair priority shifts up one
-    slot — keeping the whole graph on int keys, which is what lets the
-    native batch core (``repro.sweep.native``) accept it.
-    """
-    n = len(tasks)
-    prios = [t.priority for t in tasks]
-    if all(
-        p == () or (
-            len(p) == 2 and type(p[0]) is int and type(p[1]) is int
-            and p[0] >= 0 and p[1] >= 0)
-        for p in prios
-    ):
-        m1 = max((p[1] for p in prios if p), default=0) + 1
-        return [rank[i] if not p else (p[0] * m1 + p[1] + 1) * n + rank[i]
-                for i, p in enumerate(prios)]
-    return [(p, rank[i]) for i, p in enumerate(prios)]
-
-
-def compile_graph(tasks: list[Task], num_devices: int) -> CompiledGraph:
-    """Lower a built task graph to arrays (validates like the executor)."""
-    by_id: dict[str, int] = {}
-    for i, t in enumerate(tasks):
-        if t.tid in by_id:
-            raise ValueError(f"duplicate task id {t.tid}")
-        by_id[t.tid] = i
-    n = len(tasks)
-    ndeps = [0] * n
-    dependents: list[list[int]] = [[] for _ in range(n)]
-    for i, t in enumerate(tasks):
-        ndeps[i] = len(t.deps)
-        for d in t.deps:
-            if d not in by_id:
-                raise RuntimeError(f"task {t.tid} depends on unknown task {d}")
-            dependents[by_id[d]].append(i)
-
-    order = sorted(range(n), key=lambda i: tasks[i].tid)
-    rank = [0] * n
-    for r, i in enumerate(order):
-        rank[i] = r
-
-    key_ids: dict = {}
-
-    def key_id(key) -> int:
-        if key not in key_ids:
-            key_ids[key] = len(key_ids)
-        return key_ids[key]
-
-    inflight_key = [-1] * n
-    inflight_limit = [0] * n
-    release_key = [-1] * n
-    trigger_idx: dict[tuple, int] = {}
-    occupying_by_device: list[list[int]] = [[] for _ in range(num_devices)]
-    for i, t in enumerate(tasks):
-        key = t.meta.get("inflight_key")
-        if key is not None:
-            inflight_key[i] = key_id(key)
-            inflight_limit[i] = t.meta["inflight_limit"]
-        rel = t.meta.get("inflight_release")
-        if rel is not None:
-            release_key[i] = key_id(rel)
-        if t.device is not None and t.kind.value in OCCUPYING_KINDS:
-            occupying_by_device[t.device].append(i)
-        if t.kind in (WorkKind.FORWARD, WorkKind.BACKWARD,
-                      WorkKind.BACKWARD_INPUT):
-            # A split backward's input-grad end *is* the "backward"
-            # trigger event (mirrors ``BubbleFiller``'s canonicalization).
-            trig_kind = ("backward" if t.kind is WorkKind.BACKWARD_INPUT
-                         else t.kind.value)
-            trigger_idx[(
-                trig_kind,
-                t.meta["stage"],
-                t.meta["micro_batch"],
-                t.meta.get("pipeline"),
-                t.meta.get("replica", 0),
-            )] = i
-
-    return CompiledGraph(
-        num_devices=num_devices,
-        n=n,
-        device=[t.device for t in tasks],
-        kind=[t.kind.value for t in tasks],
-        label=[t.label for t in tasks],
-        meta=[t.meta for t in tasks],
-        order_key=_pack_order_keys(tasks, rank),
-        dur_code=[_KIND_TO_DUR[t.kind] for t in tasks],
-        ndeps=ndeps,
-        dependents=dependents,
-        inflight_key=inflight_key,
-        inflight_limit=inflight_limit,
-        release_key=release_key,
-        n_inflight_keys=len(key_ids),
-        zero_dep=[i for i in range(n) if ndeps[i] == 0],
-        occupying_by_device=occupying_by_device,
-        trigger_idx=trigger_idx,
-    )
-
-
-@dataclass
-class CompiledItem:
-    """Structural identity of one K-FAC work item (durations come later)."""
-
-    iid: str
-    device: int
-    kind: str
-    factor: str
-    stage: int
-    block: int
-    micro_batch: int | None
-    pipeline: str | None
-    dur_code: int
-    trigger: tuple                #: original trigger tuple (for reports)
-    #: For forward/backward triggers: index of the pf-graph task whose end
-    #: is the readiness event.  For "items" triggers: -1.
-    trigger_task: int
-    #: For "items" triggers: positions (within the device queue) of the
-    #: items that must be assigned first.
-    dep_positions: tuple[int, ...]
-
-
-@dataclass
-class DeviceQueue:
-    """One device's K-FAC inventory: item structs + hot-loop arrays."""
-
-    #: Items in inventory order (the reference ``build_device_queues``
-    #: emission order) — used when a report materializes its assignment.
-    items: list[CompiledItem]
-    #: Parallel arrays the compiled filler reads (no attribute access).
-    codes: list[int]              #: duration code per item
-    trig: list[int]               #: pf-graph trigger task idx, -1 if deps
-    dependents: dict[int, list[int]]
-
-
-@dataclass
-class CompiledQueues:
-    """Per-device K-FAC work inventories, structurally compiled."""
-
-    devices: dict[int, DeviceQueue]
-
-
-@dataclass
 class ScheduleTemplate:
     """Everything cost-independent about one structural configuration."""
 
@@ -321,52 +98,12 @@ def build_template(
     base_graph = compile_graph(base_builder.build(steps=1), base_builder.num_devices)
     pf_graph = compile_graph(pf_builder.build(steps=1), pf_builder.num_devices)
 
-    ref_queues = build_device_queues(
+    queues = build_device_queues(
         pf_builder,
         pf_cfg.costs,
         inversion_parallel=key.inversion_parallel,
         sync_curv_seconds=sync_curv_seconds,
     )
-    devices: dict[int, DeviceQueue] = {}
-    dp = pf_cfg.dp
-    for dev in sorted(ref_queues):
-        q = ref_queues[dev]
-        pos_of = {item.iid: pos for pos, item in enumerate(q.items)}
-        dev_items: list[CompiledItem] = []
-        dev_deps: dict[int, list[int]] = {}
-        for pos, item in enumerate(q.items):
-            if item.trigger[0] == "items":
-                dep_positions = tuple(pos_of[d] for d in item.trigger[1])
-                trigger_task = -1
-                for dpos in dep_positions:
-                    dev_deps.setdefault(dpos, []).append(pos)
-            else:
-                ev, s, m, pipe = item.trigger
-                dep_positions = ()
-                trigger_task = pf_graph.trigger_idx[(ev, s, m, pipe, dev % dp)]
-            dev_items.append(
-                CompiledItem(
-                    iid=item.iid,
-                    device=item.device,
-                    kind=item.kind,
-                    factor=item.factor,
-                    stage=item.stage,
-                    block=item.block,
-                    micro_batch=item.micro_batch,
-                    pipeline=item.pipeline,
-                    dur_code=_QKIND_TO_DUR[(item.kind, item.factor)],
-                    trigger=item.trigger,
-                    trigger_task=trigger_task,
-                    dep_positions=dep_positions,
-                )
-            )
-        devices[dev] = DeviceQueue(
-            items=dev_items,
-            codes=[it.dur_code for it in dev_items],
-            trig=[it.trigger_task for it in dev_items],
-            dependents=dev_deps,
-        )
-
     return ScheduleTemplate(
         key=key,
         num_devices=pf_builder.num_devices,
@@ -374,5 +111,5 @@ def build_template(
         world=pf_builder.allreduce_world(0),
         base_graph=base_graph,
         pf_graph=pf_graph,
-        queues=CompiledQueues(devices=devices),
+        queues=compile_queues(queues, pf_graph, pf_cfg.dp),
     )

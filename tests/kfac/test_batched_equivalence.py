@@ -98,7 +98,6 @@ class SeedKFAC(KFAC):
     def update_inverses(self):
         for _, state in self.layers:
             seed_update_inverses(state, self.damping, use_pi=self.use_pi)
-        self._precond_groups = None
 
     def precondition(self):
         for layer, state in self.layers:
@@ -285,7 +284,7 @@ def test_batched_precondition_matches_seed(use_pi):
             layer.bias.grad = bg.copy()
             grads[name] = (wg, bg)
     # Both sides precondition through IDENTICAL (seed fp64) inverses, so
-    # this isolates the stacked-matmul application and view writeback.
+    # this isolates the application and the gradient writeback.
     kfac_new.precondition()
     kfac_seed.precondition()
     for (l_new, _), (l_seed, _) in zip(kfac_new.layers, kfac_seed.layers):
@@ -314,6 +313,34 @@ def test_precondition_skips_layers_without_grads():
     kfac.precondition()
     assert m_new.fc2.weight.grad is None
     assert not np.allclose(m_new.fc1.weight.grad, wg)
+
+
+def test_precondition_bias_layer_without_bias_grad():
+    """A bias layer whose bias.grad is None is preconditioned with a zero
+    bias column; its bias gradient stays None."""
+    m_new, _ = make_models(seed=10)
+    kfac = KFAC([("fc1", m_new.fc1), ("fc2", m_new.fc2)],
+                SGD(m_new.parameters(), lr=0.1))
+    r = np.random.default_rng(41)
+    for layer, state in kfac.layers:
+        state.update_curvature(
+            rand_batches(r, [16], state.din),
+            rand_batches(r, [16], state.dout, scale=0.1),
+            loss_scale=16.0,
+        )
+    kfac.update_inverses()
+    layer, state = kfac.layers[0]
+    assert state.include_bias
+    wg = r.standard_normal((state.dout, state.din)).astype(np.float32)
+    layer.weight.grad = wg.copy()
+    layer.bias.grad = None
+    m_new.fc2.weight.grad = None
+    kfac.precondition()
+    expected, _ = seed_precondition(state, wg,
+                                    np.zeros(state.dout, np.float32))
+    np.testing.assert_allclose(layer.weight.grad, expected, rtol=1e-5,
+                               atol=1e-7)
+    assert layer.bias.grad is None
 
 
 # -- end-to-end optimizer equivalence -------------------------------------------

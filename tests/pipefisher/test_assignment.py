@@ -25,6 +25,14 @@ def setup(tf=1.0, tb=2.0, curv=0.2, inv=0.6, overhead=1.0, depth=4, n_micro=4,
     return builder, template, queues, filler
 
 
+def trigger_end(template, kind, stage, micro_batch):
+    """End of the (replica 0, single-pipeline) timeline event an item's
+    forward/backward trigger names."""
+    return max(e.end for e in template.timeline.events
+               if e.kind == kind and e.meta["stage"] == stage
+               and e.meta["micro_batch"] == micro_batch)
+
+
 class TestFilling:
     def test_everything_assigned(self):
         _, _, queues, filler = setup()
@@ -58,8 +66,9 @@ class TestFilling:
         for q in queues.values():
             for item in q.items:
                 if item.kind == "curvature" and item.factor == "A":
-                    key = ("forward", item.stage, item.micro_batch, None, 0)
-                    assert item.start >= filler._event_end[key] - 1e-9
+                    end = trigger_end(template, "forward", item.stage,
+                                      item.micro_batch)
+                    assert item.start >= end - 1e-9
 
     def test_rule1_curvature_b_after_backward(self):
         _, template, queues, filler = setup(steady_state=False)
@@ -67,8 +76,9 @@ class TestFilling:
         for q in queues.values():
             for item in q.items:
                 if item.kind == "curvature" and item.factor == "B":
-                    key = ("backward", item.stage, item.micro_batch, None, 0)
-                    assert item.start >= filler._event_end[key] - 1e-9
+                    end = trigger_end(template, "backward", item.stage,
+                                      item.micro_batch)
+                    assert item.start >= end - 1e-9
 
     def test_rule2_inversion_after_all_curvature(self):
         _, _, queues, filler = setup()
@@ -131,10 +141,11 @@ class TestFillTimeValidation:
     """A bad fill must fail at assignment time, not when reporting."""
 
     def test_fill_raises_on_unassigned_items(self):
-        """If a device's items somehow escape placement, fill() itself
-        raises instead of handing back a result whose events() blows up."""
-        _, _, _, filler = setup()
-        filler._fill_device = lambda device: 1  # placement silently skipped
+        """A fill that cannot place every item within ``max_steps`` raises
+        in fill() itself instead of handing back a result whose events()
+        blows up."""
+        *_, filler = setup(curv=2.0, inv=6.0)  # needs >= 3 steps
+        filler.max_steps = 1
         with pytest.raises(RuntimeError, match="unassigned"):
             filler.fill()
 

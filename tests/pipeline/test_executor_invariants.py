@@ -16,14 +16,15 @@ schedule-builder refactors are exercised far beyond the hand-picked
 examples.  Seeds are fixed — every CI run checks the same configs.
 """
 
-import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro.perfmodel.costs import StageCosts, WorkCosts
 from repro.pipeline import PipelineConfig, make_schedule, simulate_tasks
 from repro.pipeline.bubbles import OCCUPYING_KINDS
+from repro.pipeline.executor import compile_graph, simulate_compiled
 from repro.pipeline.spec import get_spec, schedule_names
 from repro.stochastic import (
     Perturbation,
@@ -31,8 +32,8 @@ from repro.stochastic import (
     perturbed_durations,
     sample_perturbation,
 )
-from repro.sweep.retime import simulate_compiled
-from repro.sweep.template import compile_graph
+from repro.sweep import batch as sweep_batch
+from repro.sweep import native
 
 #: Every registered schedule family, in registry order — fuzzing is
 #: spec-driven, so a newly registered schedule is covered automatically.
@@ -461,16 +462,20 @@ class TestStochasticFuzzedInvariants:
         if any(f["p"].failure_times):
             assert f["sim"].makespan >= no_faults.makespan
 
-    def test_faultless_path_matches_reference_executor(
-            self, stochastic_fuzzed):
-        """A jitter-only replicate is just a re-timing: it must agree bit
-        for bit with the reference simulate_tasks on the re-priced tasks."""
+    @pytest.mark.skipif(not native.available(),
+                        reason="native core unavailable")
+    def test_faultless_path_matches_native_core(self, stochastic_fuzzed):
+        """A jitter-only replicate is just a re-timing: the python event
+        loop and the C core must agree bit for bit on the same
+        per-task durations."""
         f = stochastic_fuzzed
-        repriced = [dataclasses.replace(t, duration=d)
-                    for t, d in zip(f["tasks"], f["durs"])]
-        ref = simulate_tasks(repriced, f["graph"].num_devices)
         sim = simulate_compiled(f["graph"], None, task_durs=f["durs"])
-        assert sim.makespan == ref.makespan
-        for i, t in enumerate(f["tasks"]):
-            assert sim.start[i] == ref.start_times[t.tid]
-            assert sim.ev_end[i] == ref.end_times[t.tid]
+        gb = sweep_batch.simulate_graph_batch(
+            f["graph"], task_durs=np.asarray([f["durs"]], np.float64))
+        assert gb is not None and gb.ok(0)
+        got = gb.sim(0)
+        assert got.makespan == sim.makespan
+        assert got.start == sim.start
+        assert got.end == sim.end
+        assert got.ev_end == sim.ev_end
+        assert got.ev_order == sim.ev_order

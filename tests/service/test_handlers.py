@@ -20,6 +20,7 @@ from repro.service import (
     ServiceHTTPError,
     ServiceServer,
 )
+from repro.service import app as service_app
 from repro.service.app import MAX_BODY_BYTES
 from repro.service.jobs import job_id_for, sweep_request
 from repro.sweep import SweepEngine
@@ -301,6 +302,33 @@ class TestContentLength:
                 conn.close()
         assert status == 400
         assert "needs 'hardware'" in payload["error"]
+
+
+    def test_body_shorter_than_length_is_408(self, monkeypatch):
+        """A body that stops short of its Content-Length times out into a
+        408 that closes the connection; other connections keep being
+        served meanwhile."""
+        monkeypatch.setattr(service_app, "READ_TIMEOUT_S", 0.5)
+        with ServiceServer(PlanningService(engine=SweepEngine())) as server:
+            stalled = _connect(server.url)
+            try:
+                stalled.putrequest("POST", "/plan")
+                stalled.putheader("Content-Type", "application/json")
+                stalled.putheader("Content-Length", "10")
+                stalled.endheaders(b'{"a')  # 3 of the 10 declared bytes
+                other = _connect(server.url)
+                try:
+                    other.request("GET", "/")
+                    assert other.getresponse().status == 200
+                finally:
+                    other.close()
+                resp = stalled.getresponse()
+                payload = json.loads(resp.read())
+            finally:
+                stalled.close()
+        assert resp.status == 408
+        assert payload["status"] == 408
+        assert resp.getheader("Connection") == "close"
 
 
 class TestMetrics:

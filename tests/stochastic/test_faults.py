@@ -7,8 +7,7 @@ end, and lost-work numbers are derived on paper in the test body.
 import pytest
 
 from repro.pipeline.work import Task, WorkKind
-from repro.sweep.retime import DeviceFaults, simulate_compiled
-from repro.sweep.template import compile_graph
+from repro.pipeline.executor import DeviceFaults, compile_graph, simulate_compiled
 
 
 def chain_graph(durations, device=0, num_devices=None):

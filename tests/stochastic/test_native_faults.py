@@ -1,7 +1,7 @@
 """The native fault-replay core must be bit-identical to the reference.
 
 ``repro_sim_fault_batch`` transliterates the DeviceFaults restart-replay
-of :func:`~repro.sweep.retime.simulate_compiled`; these tests fuzz the
+of :func:`~repro.pipeline.executor.simulate_compiled`; these tests fuzz the
 whole surface — every registered schedule, mixed jitter/straggler/
 preemption perturbations, hand-built edge cases including the
 negative-lost-work regression PR 7 fixed — comparing with ``==`` on
@@ -15,6 +15,8 @@ import pytest
 from repro.perfmodel.arch import ARCHITECTURES
 from repro.perfmodel.hardware import HARDWARE, P100
 from repro.pipefisher.runner import PipeFisherRun
+from repro.pipeline.executor import compile_graph, simulate_compiled
+from repro.pipeline.work import Task, WorkKind
 from repro.stochastic import StochasticModel, monte_carlo
 from repro.stochastic.perturb import (
     perturbed_durations,
@@ -24,7 +26,6 @@ from repro.stochastic.perturb import (
 from repro.sweep import SweepEngine
 from repro.sweep import batch as sweep_batch
 from repro.sweep import native
-from repro.sweep.retime import simulate_compiled
 from tests.stochastic.test_faults import faults
 from tests.sweep.test_engine_equivalence import CASES
 
@@ -64,9 +65,6 @@ def chain_graph(durations, device=0, num_devices=None):
     (see ``_pack_order_keys``), and ``simulate_compiled`` orders both
     spellings identically, so the scenarios transfer unchanged.
     """
-    from repro.pipeline.work import Task, WorkKind
-    from repro.sweep.template import compile_graph
-
     tasks = [Task(tid=f"t{i}", device=device, kind=WorkKind.FORWARD,
                   duration=d, deps=(f"t{i - 1}",) if i else (),
                   priority=(i, 0),

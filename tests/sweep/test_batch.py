@@ -3,8 +3,9 @@
 Property tests for the PR's core invariant: every path that evaluates a
 compiled point — native batched sim/fill, the
 ``run_many`` streaming loop, and the process pool — produces exactly
-the values the pure-python :func:`~repro.sweep.retime.simulate_compiled`
-path does (``==`` on floats, no tolerances).  One fuzz case per
+the values the python oracle
+(:func:`~repro.pipeline.executor.simulate_compiled`,
+:func:`~repro.pipefisher.assignment.fill_compiled`) does (``==`` on floats, no tolerances).  One fuzz case per
 registered schedule family, 20 seeds each.
 """
 
@@ -14,11 +15,12 @@ import pytest
 
 from repro.perfmodel.arch import BERT_BASE
 from repro.perfmodel.hardware import HARDWARE, P100
+from repro.pipefisher.assignment import fill_compiled
 from repro.pipefisher.runner import PipeFisherRun
+from repro.pipeline.executor import simulate_compiled
 from repro.sweep import SweepEngine
 from repro.sweep import batch as sweep_batch
 from repro.sweep import native
-from repro.sweep.retime import fill_compiled, simulate_compiled
 from tests.sweep.test_engine_equivalence import (
     CASES,
     assert_reports_identical,
@@ -62,10 +64,11 @@ def test_simulate_batch_matches_reference(name):
     for graph, durs in ((point.template.base_graph, point.base_durs),
                         (point.template.pf_graph, point.pf_durs)):
         tables = _fuzz_tables(durs, FUZZ_SEEDS)
-        sims = sweep_batch.simulate_compiled_batch(graph, tables)
-        assert len(sims) == FUZZ_SEEDS
-        for table, got in zip(tables, sims):
-            _assert_sims_equal(simulate_compiled(graph, table), got)
+        gb = sweep_batch.simulate_graph_batch(graph, tables)
+        assert gb is not None
+        for i, table in enumerate(tables):
+            assert gb.ok(i)
+            _assert_sims_equal(simulate_compiled(graph, table), gb.sim(i))
 
 
 @pytest.mark.parametrize("name", SCHEDULE_CASES)
@@ -74,12 +77,15 @@ def test_fill_batch_matches_reference(name):
     template = point.template
     pf_tables = _fuzz_tables(point.pf_durs, FUZZ_SEEDS)
     q_tables = _fuzz_tables(point.qdurs, FUZZ_SEEDS, lo=0.5, hi=2.0)
-    sims = sweep_batch.simulate_compiled_batch(template.pf_graph, pf_tables)
     gb = sweep_batch.simulate_graph_batch(template.pf_graph, pf_tables)
     assert gb is not None and all(gb.ok(i) for i in range(FUZZ_SEEDS))
-    fills = sweep_batch.fill_compiled_batch(template, gb, q_tables)
-    for sim, qd, got in zip(sims, q_tables, fills):
-        ref = fill_compiled(template, sim, qd)
+    fb = sweep_batch.fill_graph_batch(template, gb, q_tables)
+    assert fb is not None
+    for i, (table, qd) in enumerate(zip(pf_tables, q_tables)):
+        assert fb.ok(i)
+        sim = simulate_compiled(template.pf_graph, table)
+        ref = fill_compiled(template.pf_graph, template.queues, sim, qd)
+        got = fb.fill(i, float(gb.makespan[i]))
         assert ref.span == got.span
         assert dict(ref.device_steps) == dict(got.device_steps)
         assert ref.segments == got.segments
